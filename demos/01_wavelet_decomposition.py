@@ -9,7 +9,7 @@ the signal's frequency content.
 
 import numpy as np
 
-from wavestack import mdwd, reconstruct_branch
+from wavestack import mdwd
 
 t = np.arange(512)
 slow = np.sin(2 * np.pi * t / 64)
@@ -31,8 +31,8 @@ for lvl in range(3):
     print(f"level {lvl + 1}: approx~slow corr {corr_slow:+.3f}, "
           f"detail~fast corr {corr_fast:+.3f}")
 
-# The same pyramid can be queried branch by branch.
-approx3 = reconstruct_branch(pyramid, 3, "approx")
+# Each branch is reconstructed to the full input length.
+approx3 = pyramid.approx[2]
 print(f"approx branch at level 3 tracks the slow tone: "
       f"corr {np.corrcoef(approx3, slow)[0, 1]:+.3f}")
 

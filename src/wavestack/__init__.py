@@ -21,7 +21,6 @@ from .wavelet import (
     WaveletPyramid,
     filter_bank,
     mdwd,
-    reconstruct_branch,
 )
 
 __version__ = "0.1.0"
@@ -33,6 +32,6 @@ __all__ = [
     "TrainConfig", "TrainResult", "WaveletPyramid", "WindowSet",
     "autodiff", "config", "dataio", "ensemble", "filter_bank",
     "make_windows", "mdwd", "model", "model_forward",
-    "multi_frequency_benchmark", "reconstruct_branch", "synthesize",
+    "multi_frequency_benchmark", "synthesize",
     "train", "training", "wavelet", "__version__",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .config import RunConfig, load_run_config, resolved_config_text
 from .errors import (
     ConfigError,
     ConfigMismatch,
+    CorruptCheckpoint,
     EmptySeries,
     MissingColumn,
     NonNumericCell,
@@ -30,9 +31,10 @@ from .errors import (
 )
 from .wavelet import mdwd
 
-_VALIDATION_ERRORS = (ConfigError, ConfigMismatch, MissingColumn,
-                      NonNumericCell, EmptySeries, PartitionTooShort,
-                      SeriesTooShort, FileNotFoundError, ValueError)
+_VALIDATION_ERRORS = (ConfigError, ConfigMismatch, CorruptCheckpoint,
+                      MissingColumn, NonNumericCell, EmptySeries,
+                      PartitionTooShort, SeriesTooShort, FileNotFoundError,
+                      ValueError)
 
 ABLATION_AXES = ("alpha", "stacks", "conv", "ensemble_size", "noise")
 
@@ -189,9 +191,8 @@ def _run_cell(args):
     if axis == "alpha":
         model_cfg = replace(model_cfg, alpha=float(value))
     elif axis == "stacks":
-        model_cfg = md.ModelConfig(**{
-            **asdict(model_cfg), "n_stacks": int(value),
-            "kernel_sizes": None})
+        model_cfg = replace(model_cfg, n_stacks=int(value),
+                            kernel_sizes=None)
     elif axis == "conv":
         model_cfg = replace(model_cfg, conv_variant=str(value))
     elif axis == "noise":
@@ -223,6 +224,15 @@ def _run_cell(args):
             np.mean([tr.mae(f, y) for f, y in zip(forecasts, targets)]))
 
 
+def _try_cell(task):
+    """`_run_cell` with its failure recorded as a message, so one failed
+    cell does not end the grid.  Top-level so worker processes can run it."""
+    try:
+        return _run_cell(task), None
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def cmd_ablate(run: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
     if axis not in ABLATION_AXES:
         raise ConfigError(f"unknown ablation axis {axis!r}; "
@@ -239,15 +249,9 @@ def cmd_ablate(run: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
              for rep in range(reps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_run_cell, tasks))
-        results = dict(zip(range(len(tasks)), ((r, None) for r in raw)))
+            results = list(pool.map(_try_cell, tasks))
     else:
-        results = {}
-        for idx, task in enumerate(tasks):
-            try:
-                results[idx] = (_run_cell(task), None)
-            except Exception as exc:  # record, keep the grid going
-                results[idx] = (None, f"{type(exc).__name__}: {exc}")
+        results = list(map(_try_cell, tasks))
     with open(out / f"ablation_{axis}.csv", "w") as fh:
         fh.write(f"{axis},repetitions,mse_mean,mse_std,mae_mean,mae_std,"
                  f"failures\n")

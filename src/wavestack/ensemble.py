@@ -3,13 +3,13 @@ aggregation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import model as md
 from . import training as tr
+from .autodiff import Tape
 from .errors import ShapeMismatch
 
 AGGREGATIONS = ("median", "mean")
@@ -56,27 +56,18 @@ def train_ensemble(model_cfg: md.ModelConfig, train_windows: tr.WindowSet,
     (seed, TrainResult) pairs."""
     members = []
     for seed in ens_cfg.member_seeds():
-        member_model_cfg = md.ModelConfig(
-            **{**_cfg_dict(model_cfg), "seed": seed})
-        member_train_cfg = tr.TrainConfig(
-            **{**_cfg_dict(train_cfg), "seed": seed})
         windows = train_windows
         if ens_cfg.bootstrap:
             windows = bootstrap_windows(
                 train_windows, np.random.default_rng(seed))
         try:
-            result = tr.train(member_model_cfg, windows, val_windows,
-                              member_train_cfg)
+            result = tr.train(replace(model_cfg, seed=seed), windows,
+                              val_windows, replace(train_cfg, seed=seed))
         except Exception as exc:
             raise type(exc)(
                 f"ensemble member with seed {seed} failed: {exc}") from exc
         members.append((seed, result))
     return members
-
-
-def _cfg_dict(cfg):
-    from dataclasses import asdict
-    return asdict(cfg)
 
 
 def aggregate(member_forecasts, method: str = "median") -> np.ndarray:
@@ -96,16 +87,9 @@ def aggregate(member_forecasts, method: str = "median") -> np.ndarray:
 
 
 def ensemble_forecast(x, members, model_cfg: md.ModelConfig,
-                      method: Optional[str] = None,
-                      ens_cfg: Optional[EnsembleConfig] = None
-                      ) -> EnsembleForecast:
+                      method: str = "median") -> EnsembleForecast:
     """Run every member on one input window and aggregate."""
-    from .autodiff import Tape
-    method = method or (ens_cfg.aggregation if ens_cfg else "median")
-    forecasts = []
-    for seed, result in members:
-        cfg = md.ModelConfig(**{**_cfg_dict(model_cfg), "seed": seed})
-        bundle = md.model_forward(x, result.params, cfg, Tape())
-        forecasts.append(bundle.global_forecast)
+    forecasts = [md.model_forward(x, result.params, model_cfg, Tape())
+                 .global_forecast for _, result in members]
     return EnsembleForecast(member_forecasts=forecasts,
                             aggregated=aggregate(forecasts, method))

@@ -13,10 +13,6 @@ class NonFiniteInput(WavestackError):
     pass
 
 
-class LevelOutOfRange(WavestackError):
-    pass
-
-
 class ResolutionTooFine(WavestackError):
     pass
 
@@ -67,9 +63,5 @@ class ConfigMismatch(WavestackError):
     pass
 
 
-class MissingPyramidLevel(WavestackError):
-    pass
-
-
-class MissingPredecessor(WavestackError):
+class CorruptCheckpoint(WavestackError):
     pass

@@ -8,21 +8,15 @@ backcasts drive the inter-stack residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import (
-    InputTooShort,
-    MissingPredecessor,
-    MissingPyramidLevel,
-    NonFiniteInput,
-    ShapeMismatch,
-)
-from .wavelet import FilterKind, WaveletPyramid, mdwd
+from .errors import InputTooShort, NonFiniteInput, ShapeMismatch
+from .wavelet import FilterKind, mdwd
 
 CONV_VARIANTS = ("none", "dcn", "cnn", "maxpool", "avgpool")
 
@@ -162,41 +156,6 @@ def init_params(cfg: ModelConfig, seed: Optional[int] = None) -> dict:
     return params
 
 
-def infuse(i: int, x: Tensor, prev_input: Optional[Tensor],
-           prev_backcast: Optional[Tensor],
-           pyramid: Optional[WaveletPyramid], alpha: float,
-           tape: Tape) -> Tensor:
-    """Convex blend of the stack's wavelet branch with the inter-stack
-    residual.  Stack 1 blends the coarsest approximation with the raw
-    input; later stacks blend increasingly fine detail branches with the
-    previous stack's residual."""
-    branch = _wavelet_branch(i, pyramid, alpha)
-    if i == 1:
-        return ad.blend(branch, x, alpha, tape)
-    if prev_input is None or prev_backcast is None:
-        raise MissingPredecessor(
-            f"stack {i} requires the previous stack's input and backcast")
-    residual = ad.sub(prev_input, prev_backcast, tape)
-    return ad.blend(branch, residual, alpha, tape)
-
-
-def _wavelet_branch(i, pyramid, alpha):
-    if alpha == 0.0:
-        if pyramid is None:
-            return None
-    elif pyramid is None:
-        raise MissingPyramidLevel("wavelet infusion requires a pyramid")
-    if pyramid is None:
-        return None
-    n = pyramid.levels + 1  # number of stacks
-    if i == 1:
-        return pyramid.approx[n - 2]
-    level = n - i + 1
-    if not 1 <= level <= pyramid.levels:
-        raise MissingPyramidLevel(f"no detail branch at level {level}")
-    return pyramid.detail[level - 1]
-
-
 def stack_conv(i: int, x_in: Tensor, cfg: ModelConfig, leaves: dict,
                tape: Tape) -> Tensor:
     """Apply the configured multi-resolution operator for stack i."""
@@ -264,41 +223,46 @@ def make_leaves(params: dict, tape: Tape) -> dict:
     return {name: tape.leaf(value) for name, value in params.items()}
 
 
-def _run_stacks(x_leaf: Tensor, cfg: ModelConfig, leaves: dict, tape: Tape,
-                pyramid: Optional[WaveletPyramid], rng, training):
-    t = cfg.lookback
-    prev_input = None
-    prev_backcast = None
-    global_forecast = None
-    stack_forecasts, stack_backcasts, stack_inputs, infused = [], [], [], []
-    for i in range(1, cfg.n_stacks + 1):
-        if pyramid is None and cfg.alpha == 0.0:
-            # wavelet module detached: plain doubly-residual wiring
-            if i == 1:
-                x_in = x_leaf
-            else:
-                x_in = ad.sub(prev_input, prev_backcast, tape)
-            infused.append(None)
-        else:
-            x_in = infuse(i, x_leaf, prev_input, prev_backcast,
-                          pyramid, cfg.alpha, tape)
-            infused.append(_wavelet_branch(i, pyramid, cfg.alpha))
+def _forward(x, cfg: ModelConfig, leaves: dict, tape: Tape,
+             rng: Optional[np.random.Generator] = None,
+             training: bool = False) -> ForecastBundle:
+    """The forward pass: check the window, decompose it once, then run
+    blend -> conv -> blocks over every stack.  Stack 1 blends the coarsest
+    approximation into the raw window; each later stack blends the next
+    finer detail branch into the residual the previous stack left."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (cfg.lookback,):
+        raise ShapeMismatch(
+            f"expected input of length {cfg.lookback}, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("model input contains NaN or Inf")
+    branches = [None]  # one stack: alpha is 0, nothing to blend
+    if cfg.n_stacks >= 2:
+        pyramid = mdwd(x, cfg.wavelet_levels, cfg.wavelet_kind)
+        branches = [pyramid.approx[-1]] + pyramid.detail[::-1]
+    x_in = tape.leaf(x)
+    global_forecast = backcast_t = None
+    stack_forecasts, stack_backcasts, stack_inputs = [], [], []
+    for i, branch in enumerate(branches, start=1):
+        if i > 1:
+            x_in = ad.sub(x_in, backcast_t, tape)
+        x_in = ad.blend(branch, x_in, cfg.alpha, tape)
         x_conv = stack_conv(i, x_in, cfg, leaves, tape)
         backcast, forecast = stack_forward(
             i, x_conv, cfg, leaves, tape, rng, training)
-        backcast_t = ad.pad_left(backcast, t - backcast.value.shape[0], tape)
+        backcast_t = ad.pad_left(
+            backcast, cfg.lookback - backcast.value.shape[0], tape)
         global_forecast = forecast if global_forecast is None else \
             ad.add(global_forecast, forecast, tape)
         stack_forecasts.append(forecast.value)
         stack_backcasts.append(backcast_t.value)
         stack_inputs.append(x_in.value)
-        prev_input, prev_backcast = x_in, backcast_t
     return ForecastBundle(
         global_forecast=global_forecast.value,
         per_stack_forecast=stack_forecasts,
         per_stack_backcast=stack_backcasts,
         stack_inputs=stack_inputs,
-        infused_signals=infused,
+        infused_signals=branches,
         forecast_node=global_forecast,
     )
 
@@ -306,35 +270,8 @@ def _run_stacks(x_leaf: Tensor, cfg: ModelConfig, leaves: dict, tape: Tape,
 def model_forward(x, params: dict, cfg: ModelConfig, tape: Tape,
                   rng: Optional[np.random.Generator] = None,
                   training: bool = False) -> ForecastBundle:
-    """Full forward pass: decompose, then iterate infuse -> conv ->
-    stack over all stacks."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cfg.lookback,):
-        raise ShapeMismatch(
-            f"expected input of length {cfg.lookback}, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("model input contains NaN or Inf")
-    pyramid = None
-    if cfg.n_stacks >= 2:
-        pyramid = mdwd(x, cfg.wavelet_levels, cfg.wavelet_kind)
-    leaves = make_leaves(params, tape)
-    x_leaf = tape.leaf(x)
-    return _run_stacks(x_leaf, cfg, leaves, tape, pyramid, rng, training)
-
-
-def reference_forward(x, params: dict, cfg: ModelConfig, tape: Tape,
-                      rng=None, training=False) -> ForecastBundle:
-    """Doubly-residual forward pass with the wavelet module detached:
-    the comparison baseline for the alpha -> 0 degeneracy."""
-    if cfg.alpha != 0.0:
-        cfg = replace(cfg, alpha=0.0)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cfg.lookback,):
-        raise ShapeMismatch(
-            f"expected input of length {cfg.lookback}, got {x.shape}")
-    leaves = make_leaves(params, tape)
-    x_leaf = tape.leaf(x)
-    return _run_stacks(x_leaf, cfg, leaves, tape, None, rng, training)
+    """Forward pass of one window with `params` as fresh tape leaves."""
+    return _forward(x, cfg, make_leaves(params, tape), tape, rng, training)
 
 
 def forward_loss(x, target, params: dict, cfg: ModelConfig, tape: Tape,
@@ -342,10 +279,5 @@ def forward_loss(x, target, params: dict, cfg: ModelConfig, tape: Tape,
     """MSE loss of the global forecast against a horizon target; returns
     (loss tensor, leaves) so callers can read gradients after backward."""
     leaves = make_leaves(params, tape)
-    x = np.asarray(x, dtype=np.float64)
-    pyramid = mdwd(x, cfg.wavelet_levels, cfg.wavelet_kind) \
-        if cfg.n_stacks >= 2 else None
-    x_leaf = tape.leaf(x)
-    bundle = _run_stacks(x_leaf, cfg, leaves, tape, pyramid, rng, training)
-    loss = ad.mse_loss(bundle.forecast_node, target, tape)
-    return loss, leaves
+    bundle = _forward(x, cfg, leaves, tape, rng, training)
+    return ad.mse_loss(bundle.forecast_node, target, tape), leaves

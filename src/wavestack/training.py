@@ -14,6 +14,7 @@ from . import model as md
 from .autodiff import Tape
 from .errors import (
     ConfigMismatch,
+    CorruptCheckpoint,
     NonFiniteGradient,
     NonFiniteLoss,
     SeriesTooShort,
@@ -263,27 +264,48 @@ def save_checkpoint(path, params: dict, model_cfg: md.ModelConfig,
 
 
 def load_checkpoint(path, model_cfg: Optional[md.ModelConfig] = None):
-    """Returns (params, header dict); verifies the config hash when a
-    model config is supplied."""
+    """Returns (params, header dict); raises CorruptCheckpoint on a
+    malformed file.  Given a model config, verifies the config hash and
+    that the tensor names and shapes are the ones the model needs."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     header = {}
     i = 0
     while i < len(lines) and not lines[i].startswith("tensor "):
-        key, value = lines[i].split(" ", 1)
+        key, sep, value = lines[i].partition(" ")
+        if not sep:
+            raise CorruptCheckpoint(
+                f"{path}: line {i + 1}: expected 'KEY VALUE'")
         header[key] = value
         i += 1
     params = {}
     while i < len(lines):
-        _, name, shape_s = lines[i].split(" ")
-        shape = tuple(int(s) for s in shape_s.split(",") if s)
-        values = np.array([float(v) for v in lines[i + 1].split()])
+        fields = lines[i].split(" ")
+        if len(fields) != 3 or i + 1 == len(lines):
+            raise CorruptCheckpoint(
+                f"{path}: line {i + 1}: expected 'tensor NAME SHAPE' "
+                f"followed by a value line")
+        _, name, shape_s = fields
+        try:
+            shape = tuple(int(s) for s in shape_s.split(",") if s)
+            values = np.array([float(v) for v in lines[i + 1].split()])
+        except ValueError as exc:
+            raise CorruptCheckpoint(
+                f"{path}: tensor {name}: {exc}") from None
+        if values.size != int(np.prod(shape)):
+            raise CorruptCheckpoint(
+                f"{path}: tensor {name}: {values.size} values for shape "
+                f"{shape}")
         params[name] = values.reshape(shape)
         i += 2
-    if model_cfg is not None and header.get("config_hash") != \
-            config_hash(model_cfg):
-        raise ConfigMismatch(
-            "checkpoint was produced by a different model configuration")
+    if model_cfg is not None:
+        if header.get("config_hash") != config_hash(model_cfg):
+            raise ConfigMismatch(
+                "checkpoint was produced by a different model configuration")
+        expected = {k: v.shape for k, v in md.init_params(model_cfg).items()}
+        if {k: v.shape for k, v in params.items()} != expected:
+            raise CorruptCheckpoint(
+                f"{path}: tensor names or shapes differ from the model's")
     return params, header
 
 

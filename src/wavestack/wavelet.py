@@ -2,10 +2,9 @@
 reconstruction, plus the dyadic piecewise-constant projection used as an
 approximation oracle.
 
-The decimated transform uses periodic (circular) boundary handling by
-default, which keeps perfect reconstruction and coefficient energy exact
-for orthogonal filter pairs.  Symmetric extension is available behind a
-flag but loses exact energy preservation.
+The decimated transform uses periodic (circular) boundary handling,
+which keeps perfect reconstruction and coefficient energy exact for
+orthogonal filter pairs.
 """
 
 from __future__ import annotations
@@ -16,12 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    LevelOutOfRange,
-    NonFiniteInput,
-    ResolutionTooFine,
-    SeriesTooShort,
-)
+from .errors import NonFiniteInput, ResolutionTooFine, SeriesTooShort
 
 
 class FilterKind(str, Enum):
@@ -108,22 +102,17 @@ class WaveletPyramid:
     raw_low: list  # half-rate low coefficients per level
     raw_high: list  # half-rate high coefficients per level
     kind: FilterKind
-    boundary: str = "periodic"
     # length of the low-coefficient sequence fed into each level, before
     # the odd-length pad (needed to undo the pad during reconstruction)
     _input_lengths: list = field(default_factory=list)
 
 
-def _analysis_step(x: np.ndarray, filt: np.ndarray, boundary: str) -> np.ndarray:
-    """One decimated filtering pass: y[m] = sum_k x[2m+k] * filt[k]."""
+def _analysis_step(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
+    """One decimated periodic filtering pass:
+    y[m] = sum_k x[(2m+k) mod T] * filt[k]."""
     t = len(x)
     k = len(filt)
-    if boundary == "periodic":
-        ext = x[np.arange(t + k - 1) % t]
-    elif boundary == "symmetric":
-        ext = np.pad(x, (0, k - 1), mode="symmetric")
-    else:
-        raise ValueError(f"unknown boundary mode: {boundary}")
+    ext = x[np.arange(t + k - 1) % t]
     windows = np.lib.stride_tricks.sliding_window_view(ext, k)[:t]
     return (windows @ filt)[0::2]
 
@@ -140,17 +129,16 @@ def _synthesis_step(low: np.ndarray, high: np.ndarray, pair: FilterPair,
     return x
 
 
-def _decompose_coeffs(x, n_levels, pair, boundary):
+def _decompose_coeffs(x, n_levels, pair):
     """Iterate the analysis step on the low branch, padding odd lengths."""
     raw_low, raw_high, input_lengths = [], [], []
     cur = x
     for _ in range(n_levels):
         input_lengths.append(len(cur))
         if len(cur) % 2 == 1:
-            pad = cur[:1] if boundary == "periodic" else cur[-1:]
-            cur = np.concatenate([cur, pad])
-        raw_low.append(_analysis_step(cur, pair.low, boundary))
-        raw_high.append(_analysis_step(cur, pair.high, boundary))
+            cur = np.concatenate([cur, cur[:1]])
+        raw_low.append(_analysis_step(cur, pair.low))
+        raw_high.append(_analysis_step(cur, pair.high))
         cur = raw_low[-1]
     return raw_low, raw_high, input_lengths
 
@@ -172,8 +160,8 @@ def _reconstruct_from_level(coeffs, level, branch, pair, input_lengths):
     return cur
 
 
-def mdwd(x, n_levels: int, kind: FilterKind | str = FilterKind.HAAR,
-         boundary: str = "periodic") -> WaveletPyramid:
+def mdwd(x, n_levels: int,
+         kind: FilterKind | str = FilterKind.HAAR) -> WaveletPyramid:
     """Multilevel decimated decomposition with every branch reconstructed
     back to the original length."""
     x = np.asarray(x, dtype=np.float64)
@@ -185,8 +173,7 @@ def mdwd(x, n_levels: int, kind: FilterKind | str = FilterKind.HAAR,
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("series contains NaN or Inf")
     pair = filter_bank(kind)
-    raw_low, raw_high, input_lengths = _decompose_coeffs(
-        x, n_levels, pair, boundary)
+    raw_low, raw_high, input_lengths = _decompose_coeffs(x, n_levels, pair)
     coeffs = (raw_low, raw_high)
     approx = [
         _reconstruct_from_level(coeffs, lvl, Branch.APPROX, pair, input_lengths)
@@ -199,18 +186,7 @@ def mdwd(x, n_levels: int, kind: FilterKind | str = FilterKind.HAAR,
     return WaveletPyramid(
         levels=n_levels, original=x, approx=approx, detail=detail,
         raw_low=raw_low, raw_high=raw_high, kind=pair.kind,
-        boundary=boundary, _input_lengths=input_lengths)
-
-
-def reconstruct_branch(pyramid: WaveletPyramid, level: int,
-                       branch: Branch | str) -> np.ndarray:
-    """Full-length reconstruction of a single branch of the pyramid."""
-    branch = Branch(branch)
-    if not 1 <= level <= pyramid.levels:
-        raise LevelOutOfRange(
-            f"level {level} outside 1..{pyramid.levels}")
-    store = pyramid.approx if branch is Branch.APPROX else pyramid.detail
-    return store[level - 1].copy()
+        _input_lengths=input_lengths)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ class TestFrequencySeparation:
 
 
 class TestGradientCorrectness:
-    def test_full_model_finite_differences(self):
+    def test_full_model_finite_differences(self, monkeypatch):
         start = time.monotonic()
         cfg = md.ModelConfig(n_stacks=3, blocks_per_stack=2, alpha=0.4,
                              lookback=64, horizon=8, hidden_depth=2,
@@ -73,12 +73,12 @@ class TestGradientCorrectness:
         rng = np.random.default_rng(1)
         x = rng.normal(size=64)
         y = rng.normal(size=8)
+        # every run of the check decomposes the same x: do it once
         pyramid = wv.mdwd(x, cfg.wavelet_levels, cfg.wavelet_kind)
+        monkeypatch.setattr(md, "mdwd", lambda *args: pyramid)
 
         def build(tape, leaves):
-            x_leaf = tape.leaf(x)
-            bundle = md._run_stacks(x_leaf, cfg, leaves, tape, pyramid,
-                                    None, False)
+            bundle = md._forward(x, cfg, leaves, tape)
             return ad.mse_loss(bundle.forecast_node, y, tape)
 
         assert ad.grad_check(build, params) < 1e-4
@@ -86,7 +86,7 @@ class TestGradientCorrectness:
 
 
 class TestDetachedEndpoint:
-    def test_alpha_zero_bit_identical(self):
+    def test_alpha_zero_bit_identical(self, detached_forward):
         cfg = md.ModelConfig(n_stacks=3, blocks_per_stack=2, alpha=0.0,
                              lookback=64, horizon=8, hidden_depth=2,
                              hidden_width=8, conv_variant="dcn",
@@ -97,14 +97,11 @@ class TestDetachedEndpoint:
         for _ in range(20):
             x = rng.normal(size=64)
             infused = md.model_forward(x, params, cfg, Tape())
-            detached = md.reference_forward(x, params, cfg, Tape())
-            np.testing.assert_array_equal(infused.global_forecast,
-                                          detached.global_forecast)
-            for a, b in zip(infused.per_stack_forecast,
-                            detached.per_stack_forecast):
+            total, forecasts, backcasts = detached_forward(x, params, cfg)
+            np.testing.assert_array_equal(infused.global_forecast, total)
+            for a, b in zip(infused.per_stack_forecast, forecasts):
                 np.testing.assert_array_equal(a, b)
-            for a, b in zip(infused.per_stack_backcast,
-                            detached.per_stack_backcast):
+            for a, b in zip(infused.per_stack_backcast, backcasts):
                 np.testing.assert_array_equal(a, b)
 
 

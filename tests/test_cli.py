@@ -183,6 +183,33 @@ class TestTrainForecastEval:
                          "--out", str(tmp_path / "fc"),
                          "--checkpoint", str(out / "checkpoint.txt")]) == 2
 
+    @pytest.mark.parametrize("damage", ["header_only", "tensor_removed",
+                                        "cut_mid_line", "header_key_only"])
+    def test_corrupt_checkpoint(self, damage, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(tiny_config),
+                         "--out", str(out)]) == 0
+        ckpt = out / "checkpoint.txt"
+        lines = ckpt.read_text().splitlines()
+        if damage == "header_only":  # a tensor line with no values after it
+            lines = lines[:5]
+        elif damage == "tensor_removed":
+            at = lines.index(next(line for line in lines if
+                                  line.startswith("tensor s1.b1.proj_f.b ")))
+            del lines[at:at + 2]
+        elif damage == "cut_mid_line":
+            lines[-1] = lines[-1][:len(lines[-1]) // 2]
+        else:
+            lines[1] = "config_hash"
+        ckpt.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["forecast", "--config", str(tiny_config),
+                         "--out", str(tmp_path / "fc"),
+                         "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(ckpt) in err
+
     def test_seed_override_changes_result(self, tiny_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["train", "--config", str(tiny_config),
@@ -217,6 +244,20 @@ class TestAblate:
         assert len(lines) == 3
         assert lines[1].startswith("0.0,1,")
         assert lines[2].startswith("0.4,1,")
+
+    def test_parallel_matches_serial_with_failed_cell(self, tmp_path):
+        # 9 stacks need 8 wavelet levels, more than lookback 16 allows
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text(TINY_CONFIG + "ablate.stacks_grid = [2, 9]\n"
+                       "ablate.repetitions = 1\n")
+        csvs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(["ablate", "--config", str(cfg), "--axis",
+                             "stacks", "--jobs", jobs, "--out", str(out)]) == 0
+            csvs.append((out / "ablation_stacks.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        assert b"\n9,0,,,,,ValueError: lookback too short" in csvs[0]
 
     def test_unknown_axis_rejected(self, tiny_config, capsys):
         with pytest.raises(SystemExit):

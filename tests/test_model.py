@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from wavestack import autodiff as ad
 from wavestack import model as md
 from wavestack.autodiff import Tape
-from wavestack.errors import MissingPredecessor, ShapeMismatch
+from wavestack.errors import NonFiniteInput, ShapeMismatch
 from wavestack.wavelet import mdwd
 
 SMALL = dict(n_stacks=2, blocks_per_stack=1, alpha=0.4, lookback=16,
@@ -44,38 +43,48 @@ class TestModelConfig:
 
 
 class TestInfuse:
-    def test_alpha_zero_is_pure_residual(self):
-        tape = Tape()
-        prev_in = tape.leaf(np.array([1.0, 2.0, 3.0, 4.0]))
-        prev_bc = tape.leaf(np.array([0.5, 0.5, 0.5, 0.5]))
-        pyramid = mdwd(np.ones(4), 1, "haar")
-        out = md.infuse(2, None, prev_in, prev_bc, pyramid, 0.0, tape)
-        np.testing.assert_array_equal(out.value, [0.5, 1.5, 2.5, 3.5])
+    """Stack i's input blends its own wavelet branch into the residual
+    the previous stack left."""
 
-    def test_alpha_one_is_pure_wavelet(self):
-        tape = Tape()
-        x = tape.leaf(np.random.default_rng(0).normal(size=8))
-        pyramid = mdwd(x.value, 1, "haar")
-        out = md.infuse(1, x, None, None, pyramid, 1.0, tape)
-        np.testing.assert_array_equal(out.value, pyramid.approx[0])
+    @staticmethod
+    def _forward(alpha, kind="haar", n_stacks=4):
+        cfg = small_cfg(n_stacks=n_stacks, lookback=32, alpha=alpha,
+                        wavelet_kind=kind)
+        x = np.random.default_rng(12).normal(size=32)
+        return x, md.model_forward(x, md.init_params(cfg), cfg, Tape())
+
+    @pytest.mark.parametrize("kind", ["haar", "db2", "sym4"])
+    def test_branch_selection(self, kind):
+        # stack 1 takes the coarsest approximation, stack i the detail
+        # at level n_stacks - i + 1, down to the finest at the last stack
+        for levels in (1, 3):
+            x, bundle = self._forward(0.4, kind, n_stacks=levels + 1)
+            pyramid = mdwd(x, levels, kind)
+            expected = [pyramid.approx[levels - 1]] + \
+                [pyramid.detail[lvl - 1] for lvl in range(levels, 0, -1)]
+            assert len(bundle.infused_signals) == len(expected)
+            for got, want in zip(bundle.infused_signals, expected):
+                np.testing.assert_array_equal(got, want)
 
     def test_elementwise_blend(self):
-        tape = Tape()
-        prev_in = tape.leaf(np.array([0.0, 2.0]))
-        prev_bc = tape.leaf(np.array([0.0, 0.0]))
+        for kind in ("haar", "db2", "sym4"):
+            x, bundle = self._forward(0.4, kind)
+            approx = mdwd(x, 3, kind).approx[2]
+            np.testing.assert_array_equal(bundle.stack_inputs[0],
+                                          0.4 * approx + (1 - 0.4) * x)
 
-        class FakePyramid:
-            levels = 1
-            approx = [np.array([1.0, 1.0])]
-            detail = [np.array([1.0, 1.0])]
+    def test_alpha_zero_is_pure_residual(self):
+        x, bundle = self._forward(0.0)
+        np.testing.assert_array_equal(bundle.stack_inputs[0], x)
+        for i in range(1, 4):
+            np.testing.assert_array_equal(
+                bundle.stack_inputs[i],
+                bundle.stack_inputs[i - 1] - bundle.per_stack_backcast[i - 1])
 
-        out = md.infuse(2, None, prev_in, prev_bc, FakePyramid(), 0.4, tape)
-        np.testing.assert_allclose(out.value, [0.4, 1.6])
-
-    def test_missing_predecessor(self):
-        pyramid = mdwd(np.ones(8), 1, "haar")
-        with pytest.raises(MissingPredecessor):
-            md.infuse(2, None, None, None, pyramid, 0.4, Tape())
+    def test_alpha_one_is_pure_wavelet(self):
+        _, bundle = self._forward(1.0)
+        for got, branch in zip(bundle.stack_inputs, bundle.infused_signals):
+            np.testing.assert_array_equal(got, branch)
 
 
 class TestBlockForward:
@@ -194,7 +203,7 @@ class TestModelForward:
                 (1 - alpha) * residual
             np.testing.assert_array_equal(bundle.stack_inputs[i], expected)
 
-    def test_alpha_zero_bit_identical_to_reference(self):
+    def test_alpha_zero_bit_identical_to_reference(self, detached_forward):
         cfg = small_cfg(alpha=0.0, n_stacks=3, lookback=32,
                         conv_variant="dcn", kernel_sizes=(3, 3, 3))
         params = md.init_params(cfg)
@@ -202,10 +211,9 @@ class TestModelForward:
         for _ in range(5):
             x = rng.normal(size=32)
             b1 = md.model_forward(x, params, cfg, Tape())
-            b2 = md.reference_forward(x, params, cfg, Tape())
-            np.testing.assert_array_equal(b1.global_forecast,
-                                          b2.global_forecast)
-            for a, b in zip(b1.per_stack_forecast, b2.per_stack_forecast):
+            total, forecasts, _ = detached_forward(x, params, cfg)
+            np.testing.assert_array_equal(b1.global_forecast, total)
+            for a, b in zip(b1.per_stack_forecast, forecasts):
                 np.testing.assert_array_equal(a, b)
 
     def test_infusion_convexity_envelope(self):
@@ -224,8 +232,20 @@ class TestModelForward:
 
     def test_wrong_input_length(self):
         cfg = small_cfg()
+        params = md.init_params(cfg)
         with pytest.raises(ShapeMismatch):
-            md.model_forward(np.ones(10), md.init_params(cfg), cfg, Tape())
+            md.model_forward(np.ones(10), params, cfg, Tape())
+        with pytest.raises(ShapeMismatch):
+            md.forward_loss(np.ones(10), np.zeros(4), params, cfg, Tape())
+
+    def test_loss_rejects_non_finite_input(self):
+        # with one stack there is no decomposition to trip over the NaN,
+        # and ReLU would zero it: the forward itself must reject it
+        cfg = small_cfg(n_stacks=1, alpha=0.0)
+        x = np.ones(16)
+        x[3] = np.nan
+        with pytest.raises(NonFiniteInput):
+            md.forward_loss(x, np.zeros(4), md.init_params(cfg), cfg, Tape())
 
     def test_gradient_flow(self):
         # Every parameter gets a nonzero gradient, except the backcast

