@@ -73,11 +73,9 @@ def _write_resolved_config(run: RunConfig, out: Path) -> None:
 def _apply_seed(run: RunConfig, seed) -> RunConfig:
     if seed is None:
         return run
-    return RunConfig(
-        model=replace(run.model, seed=seed),
-        train=replace(run.train, seed=seed),
-        ensemble=replace(run.ensemble, base_seed=seed),
-        options=dict(run.options))
+    return replace(run, model=replace(run.model, seed=seed),
+                   train=replace(run.train, seed=seed),
+                   ensemble=replace(run.ensemble, base_seed=seed))
 
 
 # --- commands ------------------------------------------------------------
@@ -137,39 +135,25 @@ def cmd_forecast(run: RunConfig, out: Path, checkpoint: str) -> None:
           f"{np.max(np.abs(total - bundle.global_forecast)):.3e}")
 
 
-def _persistence_forecast(x, horizon):
-    return np.full(horizon, x[-1])
-
-
 def cmd_eval(run: RunConfig, out: Path, checkpoint: str,
              baseline: bool = False) -> None:
     _, scaler, windows = _prepare(run)
     params, _ = tr.load_checkpoint(checkpoint, run.model)
     test = windows["test"]
-    rows = []
-
-    def metric_rows(label, forecasts):
-        scaled_mse = np.mean([tr.mse(f, y) for f, y in
-                              zip(forecasts, test.targets)])
-        scaled_mae = np.mean([tr.mae(f, y) for f, y in
-                              zip(forecasts, test.targets)])
-        rows.append(("standardized", label, scaled_mse, scaled_mae))
-        if scaler is not None:
-            raw_f = [dataio.destandardize(f, scaler) for f in forecasts]
-            raw_y = [dataio.destandardize(y, scaler) for y in test.targets]
-            rows.append((
-                "original", label,
-                np.mean([tr.mse(f, y) for f, y in zip(raw_f, raw_y)]),
-                np.mean([tr.mae(f, y) for f, y in zip(raw_f, raw_y)])))
-
-    model_forecasts = [
-        md.model_forward(x, params, run.model, Tape()).global_forecast
-        for x in test.inputs]
-    metric_rows("model", model_forecasts)
+    inputs, targets = np.array(test.inputs), np.array(test.targets)
+    forecasts = {"model": tr.forecast(inputs, params, run.model)}
     if baseline:
-        metric_rows("persistence", [
-            _persistence_forecast(x, run.model.horizon)
-            for x in test.inputs])
+        forecasts["persistence"] = np.repeat(
+            inputs[:, -1:], run.model.horizon, axis=1)
+    rows = []
+    for label, pred in forecasts.items():
+        rows.append(("standardized", label, tr.mse(pred, targets),
+                     tr.mae(pred, targets)))
+        if scaler is not None:
+            raw_pred = dataio.destandardize(pred, scaler)
+            raw_targets = dataio.destandardize(targets, scaler)
+            rows.append(("original", label, tr.mse(raw_pred, raw_targets),
+                         tr.mae(raw_pred, raw_targets)))
     with open(out / "metrics.csv", "w") as fh:
         fh.write("scale,model,mse,mae\n")
         for scale, label, m, a in rows:
@@ -199,29 +183,21 @@ def _run_cell(args):
         series = dataio.multi_frequency_benchmark(
             length=run["synthetic.length"], noise_level=float(value),
             seed=run["synthetic.seed"] + rep)
-    run = RunConfig(model=model_cfg, train=train_cfg,
-                    ensemble=run.ensemble, options=dict(run.options))
+    run = replace(run, model=model_cfg, train=train_cfg)
     _, _, windows = _prepare(run, series=series)
+    test = windows["test"]
     if axis == "ensemble_size":
-        ens_cfg = ens.EnsembleConfig(
-            size=int(value), aggregation=run.ensemble.aggregation,
-            bootstrap=run.ensemble.bootstrap, base_seed=seed)
+        ens_cfg = replace(run.ensemble, size=int(value), base_seed=seed)
         members = ens.train_ensemble(model_cfg, windows["train"],
                                      windows["val"], train_cfg, ens_cfg)
-        forecasts = []
-        for x in windows["test"].inputs:
-            forecasts.append(ens.ensemble_forecast(
-                x, members, model_cfg, method=ens_cfg.aggregation).aggregated)
+        forecasts = ens.aggregate(
+            [tr.forecast(test.inputs, result.params, model_cfg)
+             for _, result in members], ens_cfg.aggregation)
     else:
         result = tr.train(model_cfg, windows["train"], windows["val"],
                           train_cfg)
-        forecasts = [
-            md.model_forward(x, result.params, model_cfg, Tape())
-            .global_forecast
-            for x in windows["test"].inputs]
-    targets = windows["test"].targets
-    return (np.mean([tr.mse(f, y) for f, y in zip(forecasts, targets)]),
-            np.mean([tr.mae(f, y) for f, y in zip(forecasts, targets)]))
+        forecasts = tr.forecast(test.inputs, result.params, model_cfg)
+    return tr.mse(forecasts, test.targets), tr.mae(forecasts, test.targets)
 
 
 def _try_cell(task):

@@ -14,50 +14,41 @@ from .training import TrainConfig
 
 SPEC_VERSION = 1
 
-# scalar keys outside the model./train./ensemble. namespaces
+# scalar keys outside the model./train./ensemble. namespaces, each with its
+# type and default; null is accepted only where the default is None
 _TOP_LEVEL = {
-    "spec_version": int,
-    "data": str,
-    "value_column": str,
-    "stride": int,
-    "standardize": bool,
-    "split.train": float,
-    "split.val": float,
-    "split.test": float,
-    "synthetic.length": int,
-    "synthetic.noise": float,
-    "synthetic.seed": int,
-    "decompose.levels": int,
-    "decompose.kind": str,
-    "ablate.repetitions": int,
-    "ablate.alpha_grid": list,
-    "ablate.stacks_grid": list,
-    "ablate.conv_grid": list,
-    "ablate.ensemble_grid": list,
-    "ablate.noise_grid": list,
+    "spec_version": (int, SPEC_VERSION),
+    "data": (str, None),
+    "value_column": (str, "value"),
+    "stride": (int, 1),
+    "standardize": (bool, True),
+    "split.train": (float, 0.70),
+    "split.val": (float, 0.10),
+    "split.test": (float, 0.20),
+    "synthetic.length": (int, 480),
+    "synthetic.noise": (float, 0.0),
+    "synthetic.seed": (int, 0),
+    "decompose.levels": (int, None),  # defaults to n_stacks - 1
+    "decompose.kind": (str, None),  # defaults to model wavelet kind
+    "ablate.repetitions": (int, 3),
+    "ablate.alpha_grid": (list, [0.0, 0.4, 1.0]),
+    "ablate.stacks_grid": (list, [2, 3, 4]),
+    "ablate.conv_grid": (list, ["dcn", "cnn", "maxpool", "avgpool"]),
+    "ablate.ensemble_grid": (list, [1, 3, 5]),
+    "ablate.noise_grid": (list, [0.025, 0.05, 0.075]),
 }
 
-_DEFAULTS = {
-    "spec_version": SPEC_VERSION,
-    "data": None,
-    "value_column": "value",
-    "stride": 1,
-    "standardize": True,
-    "split.train": 0.70,
-    "split.val": 0.10,
-    "split.test": 0.20,
-    "synthetic.length": 480,
-    "synthetic.noise": 0.0,
-    "synthetic.seed": 0,
-    "decompose.levels": None,  # defaults to n_stacks - 1
-    "decompose.kind": None,  # defaults to model wavelet kind
-    "ablate.repetitions": 3,
-    "ablate.alpha_grid": [0.0, 0.4, 1.0],
-    "ablate.stacks_grid": [2, 3, 4],
-    "ablate.conv_grid": ["dcn", "cnn", "maxpool", "avgpool"],
-    "ablate.ensemble_grid": [1, 3, 5],
-    "ablate.noise_grid": [0.025, 0.05, 0.075],
-}
+
+def _check_type(key, value) -> None:
+    """An int passes where a float is expected; a bool never passes as a
+    number."""
+    kind, default = _TOP_LEVEL[key]
+    if value is None and default is None:
+        return
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (
+            isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
 
 
 @dataclass
@@ -114,7 +105,7 @@ def load_run_config(path=None, text=None, overrides=None) -> RunConfig:
     sections = {"model": {}, "train": {}, "ensemble": {}}
     section_classes = {"model": ModelConfig, "train": TrainConfig,
                        "ensemble": EnsembleConfig}
-    options = dict(_DEFAULTS)
+    options = {key: default for key, (_, default) in _TOP_LEVEL.items()}
     for key, value in entries.items():
         head, _, rest = key.partition(".")
         if head in sections and rest:
@@ -122,6 +113,7 @@ def load_run_config(path=None, text=None, overrides=None) -> RunConfig:
                 raise ConfigError(f"unknown key {key!r}")
             sections[head][rest] = value
         elif key in _TOP_LEVEL:
+            _check_type(key, value)
             options[key] = value
         else:
             raise ConfigError(f"unknown key {key!r}")

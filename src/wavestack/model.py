@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import InputTooShort, NonFiniteInput, ShapeMismatch
+from .errors import NonFiniteInput, ShapeMismatch
 from .wavelet import FilterKind, mdwd
 
 CONV_VARIANTS = ("none", "dcn", "cnn", "maxpool", "avgpool")
@@ -41,6 +41,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """The one check of the config: a config that passes builds a
+        model whose forward pass runs."""
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.n_stacks < 1:
@@ -65,6 +67,19 @@ class ModelConfig:
             raise ValueError("lookback too short for n_stacks-1 wavelet levels")
         object.__setattr__(self, "dilations", tuple(self.dilations))
         FilterKind(self.wavelet_kind)  # validates
+        for name in ("lookback", "horizon", "blocks_per_stack",
+                     "hidden_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if min(self.kernel_sizes + self.dilations, default=1) < 1:
+            raise ValueError("kernel sizes and dilations must be >= 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must lie in [0, 1)")
+        for i in range(1, self.n_stacks + 1):
+            if self.conv_output_length(i) < 1:
+                raise ValueError(
+                    f"stack {i}: conv variant {self.conv_variant} consumes "
+                    f"the whole lookback window")
 
     @property
     def wavelet_levels(self):
@@ -77,16 +92,10 @@ class ModelConfig:
         if self.conv_variant == "none":
             return t
         if self.conv_variant == "dcn":
-            out = t - (k - 1) * sum(self.dilations)
-        elif self.conv_variant == "cnn":
-            out = t - (k - 1) * len(self.dilations)
-        else:  # pooling
-            out = t // k
-        if out < 1:
-            raise InputTooShort(
-                f"stack {stack}: conv variant {self.conv_variant} consumes "
-                f"the whole lookback window")
-        return out
+            return t - (k - 1) * sum(self.dilations)
+        if self.conv_variant == "cnn":
+            return t - (k - 1) * len(self.dilations)
+        return t // k  # pooling
 
     def theta_b_dim(self, stack: int) -> int:
         return self.theta_backcast_dim or self.conv_output_length(stack)
@@ -106,16 +115,6 @@ class ForecastBundle:
     stack_inputs: list  # post-infusion, pre-convolution
     infused_signals: list  # wavelet branch blended into each stack
     forecast_node: Tensor = field(repr=False, compare=False)
-
-
-def _block_names(i, k, cfg: ModelConfig):
-    prefix = f"s{i}.b{k}"
-    names = []
-    for d in range(cfg.hidden_depth):
-        names.append(f"{prefix}.trunk{d}")
-    names += [f"{prefix}.head_b", f"{prefix}.head_f",
-              f"{prefix}.proj_b", f"{prefix}.proj_f"]
-    return names
 
 
 def _conv_kernel_names(i, cfg: ModelConfig):

@@ -10,7 +10,7 @@ orthogonal filter pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -102,9 +102,6 @@ class WaveletPyramid:
     raw_low: list  # half-rate low coefficients per level
     raw_high: list  # half-rate high coefficients per level
     kind: FilterKind
-    # length of the low-coefficient sequence fed into each level, before
-    # the odd-length pad (needed to undo the pad during reconstruction)
-    _input_lengths: list = field(default_factory=list)
 
 
 def _analysis_step(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
@@ -185,8 +182,7 @@ def mdwd(x, n_levels: int,
     ]
     return WaveletPyramid(
         levels=n_levels, original=x, approx=approx, detail=detail,
-        raw_low=raw_low, raw_high=raw_high, kind=pair.kind,
-        _input_lengths=input_lengths)
+        raw_low=raw_low, raw_high=raw_high, kind=pair.kind)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ import dataclasses
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from wavestack import model as md
+from wavestack import training as tr
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -27,3 +30,16 @@ def test_forecast_bundle_keeps_forecast_node():
     # the benchmark keeps bundles as replace(bundle, forecast_node=None)
     fields = {f.name for f in dataclasses.fields(md.ForecastBundle)}
     assert "forecast_node" in fields
+
+
+def test_tracer_counts_every_evaluated_window():
+    # an inference path that bound model_forward privately would read 0 here
+    cfg = md.ModelConfig(n_stacks=2, blocks_per_stack=1, lookback=16,
+                         horizon=4, hidden_depth=1, hidden_width=4,
+                         conv_variant="none")
+    windows = tr.make_windows(np.sin(np.arange(40) / 3.0), 16, 4, stride=3)
+    params = md.init_params(cfg)
+    with _load_tracing().Tracer() as tracer:
+        tr.evaluate(windows, params, cfg)
+    assert tracer.calls["model.forward"] == len(windows) == 7
+    assert tracer.evaluated_windows == len(windows)

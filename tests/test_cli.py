@@ -24,6 +24,14 @@ synthetic.noise = 0.02
 """
 
 
+def with_entries(*entries):
+    """TINY_CONFIG with each `key = value` entry set, replacing its line."""
+    keys = {entry.split("=")[0].strip() for entry in entries}
+    kept = [line for line in TINY_CONFIG.splitlines()
+            if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept + list(entries)) + "\n"
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "run.cfg"
@@ -94,6 +102,13 @@ class TestRunConfig:
         assert run["decompose.levels"] == 3
         assert run["decompose.kind"] == "db2"
 
+    def test_top_level_int_for_float_and_null_default(self):
+        run = cfgmod.load_run_config(text=with_entries(
+            "synthetic.noise = 0", "data = null", "decompose.levels = null"))
+        assert run["synthetic.noise"] == 0
+        assert run["data"] is None
+        assert run["decompose.levels"] == 1
+
     def test_resolved_round_trip(self):
         run = cfgmod.load_run_config(text=TINY_CONFIG)
         resolved = cfgmod.resolved_config_text(run)
@@ -117,6 +132,56 @@ class TestExitCodes:
         cfg.write_text(TINY_CONFIG + "synthetic.length = 60\n")
         assert cli.main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("entry", [
+        'stride = "x"',  # int
+        "stride = 2.5",
+        'split.train = "a"',  # float
+        "standardize = 1",  # bool
+        "value_column = 3",  # str
+        "ablate.alpha_grid = 0.4",  # list
+        "synthetic.length = true",  # a bool is not a number
+        "split.val = false",
+        "stride = null",  # null only where the default is None
+        'synthetic.length = "480"',
+    ])
+    def test_mistyped_top_level_key(self, entry, tmp_path, capsys):
+        cfg = tmp_path / "typed.cfg"
+        cfg.write_text(with_entries(entry))
+        with pytest.raises(ConfigError, match=entry.split(" ")[0]):
+            cfgmod.load_run_config(cfg)
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("entries", [
+        pytest.param(("model.blocks_per_stack = 0",), id="no_blocks"),
+        pytest.param(("model.hidden_depth = 0",), id="no_trunk"),
+        pytest.param(("model.horizon = 0",), id="no_horizon"),
+        pytest.param(("model.lookback = 0", "model.n_stacks = 1",
+                      "model.alpha = 0.0"), id="no_lookback"),
+        pytest.param(('model.conv_variant = "avgpool"',
+                      "model.kernel_sizes = [0, 0]"), id="pool_kernel_0"),
+        pytest.param(('model.conv_variant = "dcn"',
+                      "model.dilations = [1, 0]"), id="dilation_0"),
+        pytest.param(("model.dropout_rate = 1.0",), id="dropout_1"),
+        pytest.param(("model.dropout_rate = -0.1",), id="dropout_negative"),
+        # receptive field 8 * (1 + 2 + 4) > lookback 16
+        pytest.param(('model.conv_variant = "dcn"',
+                      "model.kernel_sizes = [9, 9]"), id="dcn_too_wide"),
+        pytest.param(('model.conv_variant = "maxpool"',
+                      "model.kernel_sizes = [17, 17]"), id="pool_too_wide"),
+    ])
+    def test_unbuildable_model(self, entries, tmp_path, capsys):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(with_entries(*entries))
+        with pytest.raises(ConfigError):
+            cfgmod.load_run_config(cfg)
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_runtime_error_is_three(self, tmp_path, capsys):

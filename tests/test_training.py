@@ -3,6 +3,7 @@ import pytest
 
 from wavestack import model as md
 from wavestack import training as tr
+from wavestack.autodiff import Tape
 from wavestack.errors import (
     ConfigMismatch,
     NonFiniteGradient,
@@ -67,6 +68,19 @@ class TestLosses:
             tr.mse([1.0], [1.0, 2.0])
         with pytest.raises(ShapeMismatch):
             tr.mae([1.0], [1.0, 2.0])
+        with pytest.raises(ShapeMismatch):
+            tr.mse(np.zeros((3, 4)), np.zeros((3, 5)))
+        with pytest.raises(ShapeMismatch):
+            tr.mae(np.zeros((3, 4)), np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("n, h", [(1, 1), (3, 4), (37, 24), (5, 200)])
+    def test_window_set_is_mean_of_window_scores(self, n, h):
+        rng = np.random.default_rng(n * h)
+        pred = 10.0 * rng.normal(size=(n, h))
+        target = rng.normal(size=(n, h))
+        for score in (tr.mse, tr.mae):
+            per_window = [score(p, y) for p, y in zip(pred, target)]
+            assert score(pred, target) == float(np.mean(per_window))
 
 
 class TestSchedule:
@@ -218,6 +232,39 @@ class TestTrainLoop:
         empty = tr.WindowSet(inputs=[], targets=[], offsets=[])
         with pytest.raises(ValueError):
             tr.train(tiny_cfg(), empty, windows, tr.TrainConfig())
+
+
+def _per_window_forecasts(windows, params, cfg):
+    return [md.model_forward(x, params, cfg, Tape()).global_forecast
+            for x in windows.inputs]
+
+
+class TestWindowSetForecast:
+    @pytest.mark.parametrize("variant", ["dcn", "maxpool", "none"])
+    @pytest.mark.parametrize("kind", ["haar", "db2", "sym4"])
+    def test_forecast_matches_per_window_forward(self, kind, variant):
+        cfg = tiny_cfg(n_stacks=3, lookback=16, horizon=3, hidden_width=6,
+                       conv_variant=variant, kernel_sizes=(3, 3, 2),
+                       wavelet_kind=kind)
+        windows = _toy_windows(n=40, lookback=16, horizon=3)
+        params = md.init_params(cfg)
+        pred = tr.forecast(windows.inputs, params, cfg)
+        assert pred.shape == (len(windows), 3)
+        np.testing.assert_array_equal(
+            pred, np.stack(_per_window_forecasts(windows, params, cfg)))
+
+    def test_evaluate_is_mean_of_window_scores(self):
+        cfg = tiny_cfg(n_stacks=3, lookback=16, horizon=3,
+                       wavelet_kind="db2")
+        windows = _toy_windows(n=60, lookback=16, horizon=3)
+        params = md.init_params(cfg)
+        forecasts = _per_window_forecasts(windows, params, cfg)
+        assert tr.evaluate(windows, params, cfg) == {
+            "mse": float(np.mean([tr.mse(f, y) for f, y in
+                                  zip(forecasts, windows.targets)])),
+            "mae": float(np.mean([tr.mae(f, y) for f, y in
+                                  zip(forecasts, windows.targets)])),
+        }
 
 
 class TestCheckpoint:
