@@ -12,9 +12,9 @@ from wavestack import Tape, autodiff as ad
 # A small program: y = relu(W x + b), loss = mean((y - target)^2)
 rng = np.random.default_rng(0)
 tape = Tape()
-x = tape.leaf(rng.normal(size=4))
-W = tape.leaf(rng.normal(size=(3, 4)))
-b = tape.leaf(np.zeros(3))
+x = tape.tensor(rng.normal(size=4))
+W = tape.tensor(rng.normal(size=(3, 4)))
+b = tape.tensor(np.zeros(3))
 
 y = ad.relu(ad.affine(x, W, b, tape), tape)
 loss = ad.mse_loss(y, np.array([1.0, 0.0, -1.0]), tape)
@@ -26,8 +26,8 @@ print("dL/dW row norms:", np.round(np.linalg.norm(W.grad, axis=1), 4))
 
 # The same leaves can drive a dilated convolution chain.
 tape = Tape()
-signal = tape.leaf(np.sin(np.linspace(0, 4 * np.pi, 32)))
-kernel = tape.leaf(np.array([0.25, 0.5, 0.25]))
+signal = tape.tensor(np.sin(np.linspace(0, 4 * np.pi, 32)))
+kernel = tape.tensor(np.array([0.25, 0.5, 0.25]))
 out = ad.dilated_conv1d(signal, kernel, dilation=2, tape=tape)
 print("conv output length:", len(out.value), "(valid, no padding)")
 
@@ -38,7 +38,7 @@ x_fixed = rng.normal(size=4)
 
 
 def build(tape, leaves):
-    h = ad.affine(tape.leaf(x_fixed), leaves["W"], leaves["b"], tape)
+    h = ad.affine(tape.tensor(x_fixed), leaves["W"], leaves["b"], tape)
     return ad.mse_loss(ad.relu(h, tape), target, tape)
 
 

@@ -42,9 +42,6 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def leaf(self, value):
-        return self.tensor(value)
-
     def backward(self, loss: Tensor):
         """Populate .grad on every node reachable from `loss`."""
         if loss.value.ndim != 0 and loss.value.size != 1:
@@ -209,23 +206,9 @@ def mse_loss(pred: Tensor, target: np.ndarray, tape: Tape) -> Tensor:
                        ((pred, lambda g, d=diff, n=n: g * 2.0 * d / n),))
 
 
-def scale(x: Tensor, c: float, tape: Tape) -> Tensor:
-    return tape.tensor(c * x.value, ((x, lambda g: c * g),))
-
-
-def xavier_init(shape, rng: np.random.Generator,
-                fan_in: int | None = None,
-                fan_out: int | None = None) -> np.ndarray:
-    """Uniform Glorot initialization in +-sqrt(6/(fan_in+fan_out))."""
-    shape = tuple(shape)
-    if fan_in is None or fan_out is None:
-        if len(shape) == 2:
-            fan_out = fan_out or shape[0]
-            fan_in = fan_in or shape[1]
-        else:
-            fan_in = fan_in or shape[0]
-            fan_out = fan_out or shape[0]
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
+def xavier_init(shape, rng: np.random.Generator) -> np.ndarray:
+    """Uniform Glorot init of a [fan_out, fan_in] matrix in +-sqrt(6/sum)."""
+    bound = np.sqrt(6.0 / sum(shape))
     return rng.uniform(-bound, bound, size=shape)
 
 
@@ -239,7 +222,7 @@ def grad_check(build, params: dict, eps: float = 1e-5) -> float:
 
     def run(values):
         tape = Tape()
-        leaves = {k: tape.leaf(v) for k, v in values.items()}
+        leaves = {k: tape.tensor(v) for k, v in values.items()}
         loss = build(tape, leaves)
         return tape, leaves, loss
 

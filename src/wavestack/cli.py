@@ -1,7 +1,7 @@
 """Operator entry point: decompose, train, forecast, eval and ablation
 grids, all emitting deterministic CSV artifacts.
 
-Exit codes: 0 success, 2 config/validation error, 3 runtime error.
+Exit codes: 0 success, 2 input error, 3 runtime or internal error.
 """
 
 from __future__ import annotations
@@ -18,23 +18,8 @@ from . import dataio, ensemble as ens, training as tr
 from . import model as md
 from .autodiff import Tape
 from .config import RunConfig, load_run_config, resolved_config_text
-from .errors import (
-    ConfigError,
-    ConfigMismatch,
-    CorruptCheckpoint,
-    EmptySeries,
-    MissingColumn,
-    NonNumericCell,
-    PartitionTooShort,
-    SeriesTooShort,
-    WavestackError,
-)
+from .errors import ConfigError, InvalidInput, WavestackError
 from .wavelet import mdwd
-
-_VALIDATION_ERRORS = (ConfigError, ConfigMismatch, CorruptCheckpoint,
-                      MissingColumn, NonNumericCell, EmptySeries,
-                      PartitionTooShort, SeriesTooShort, FileNotFoundError,
-                      ValueError)
 
 ABLATION_AXES = ("alpha", "stacks", "conv", "ensemble_size", "noise")
 
@@ -173,21 +158,20 @@ def _run_cell(args):
     train_cfg = replace(run.train, seed=seed)
     series = None
     if axis == "alpha":
-        model_cfg = replace(model_cfg, alpha=float(value))
+        model_cfg = replace(model_cfg, alpha=value)
     elif axis == "stacks":
-        model_cfg = replace(model_cfg, n_stacks=int(value),
-                            kernel_sizes=None)
+        model_cfg = replace(model_cfg, n_stacks=value, kernel_sizes=None)
     elif axis == "conv":
-        model_cfg = replace(model_cfg, conv_variant=str(value))
+        model_cfg = replace(model_cfg, conv_variant=value)
     elif axis == "noise":
         series = dataio.multi_frequency_benchmark(
-            length=run["synthetic.length"], noise_level=float(value),
+            length=run["synthetic.length"], noise_level=value,
             seed=run["synthetic.seed"] + rep)
     run = replace(run, model=model_cfg, train=train_cfg)
     _, _, windows = _prepare(run, series=series)
     test = windows["test"]
     if axis == "ensemble_size":
-        ens_cfg = replace(run.ensemble, size=int(value), base_seed=seed)
+        ens_cfg = replace(run.ensemble, size=value, base_seed=seed)
         members = ens.train_ensemble(model_cfg, windows["train"],
                                      windows["val"], train_cfg, ens_cfg)
         forecasts = ens.aggregate(
@@ -286,10 +270,6 @@ def main(argv=None) -> int:
         run = _apply_seed(load_run_config(args.config), args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "decompose":
             cmd_decompose(run, out)
         elif args.command == "train":
@@ -300,11 +280,15 @@ def main(argv=None) -> int:
             cmd_eval(run, out, args.checkpoint, baseline=args.baseline)
         elif args.command == "ablate":
             cmd_ablate(run, out, args.axis, jobs=args.jobs)
-    except _VALIDATION_ERRORS as exc:
+    except (InvalidInput, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WavestackError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 3
     return 0
 

@@ -5,17 +5,19 @@ the run outputs."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import asdict, dataclass, field
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .ensemble import EnsembleConfig
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
+from .wavelet import FilterKind
 
 SPEC_VERSION = 1
 
-# scalar keys outside the model./train./ensemble. namespaces, each with its
-# type and default; null is accepted only where the default is None
+# keys outside the model./train./ensemble. sections: (type, default)
 _TOP_LEVEL = {
     "spec_version": (int, SPEC_VERSION),
     "data": (str, None),
@@ -31,24 +33,48 @@ _TOP_LEVEL = {
     "decompose.levels": (int, None),  # defaults to n_stacks - 1
     "decompose.kind": (str, None),  # defaults to model wavelet kind
     "ablate.repetitions": (int, 3),
-    "ablate.alpha_grid": (list, [0.0, 0.4, 1.0]),
-    "ablate.stacks_grid": (list, [2, 3, 4]),
-    "ablate.conv_grid": (list, ["dcn", "cnn", "maxpool", "avgpool"]),
-    "ablate.ensemble_grid": (list, [1, 3, 5]),
-    "ablate.noise_grid": (list, [0.025, 0.05, 0.075]),
+    "ablate.alpha_grid": (list[float], [0.0, 0.4, 1.0]),
+    "ablate.stacks_grid": (list[int], [2, 3, 4]),
+    "ablate.conv_grid": (list[str], ["dcn", "cnn", "maxpool", "avgpool"]),
+    "ablate.ensemble_grid": (list[int], [1, 3, 5]),
+    "ablate.noise_grid": (list[float], [0.025, 0.05, 0.075]),
 }
 
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig,
+             "ensemble": EnsembleConfig}
 
-def _check_type(key, value) -> None:
-    """An int passes where a float is expected; a bool never passes as a
-    number."""
-    kind, default = _TOP_LEVEL[key]
+# every accepted key; a section key is typed by its dataclass annotation
+_SCHEMA = {**_TOP_LEVEL, **{
+    f"{head}.{name}": (kind, getattr(cls, name))
+    for head, cls in _SECTIONS.items()
+    for name, kind in get_type_hints(cls).items()}}
+
+
+def _typed(kind, value):
+    """`value` as `kind`, or TypeError (JSON bools are never numbers)."""
+    if get_origin(kind) in (list, tuple) and isinstance(value, (list, tuple)):
+        return get_origin(kind)(_typed(get_args(kind)[0], v) for v in value)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or kind is float and not math.isfinite(value):
+        raise TypeError
+    return value
+
+
+def _check_type(key, value):
+    """`value` typed as `_SCHEMA` types `key`.  `null` passes where the type
+    is Optional or the default is None; each list element is checked; a
+    float must be finite, and an int given for one comes back a float."""
+    kind, default = _SCHEMA[key]
+    if get_origin(kind) is Union:  # Optional[X]
+        kind, default = get_args(kind)[0], None
     if value is None and default is None:
-        return
-    accepted = (int, float) if kind is float else kind
-    if not isinstance(value, accepted) or (
-            isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+        return None
+    try:
+        return _typed(kind, value)
+    except (TypeError, OverflowError):
+        name = kind.__name__ if isinstance(kind, type) else str(kind)
+        raise ConfigError(f"{key} must be {name}, got {value!r}") from None
 
 
 @dataclass
@@ -86,10 +112,6 @@ def parse_config_text(text: str) -> dict:
     return entries
 
 
-def _section_fields(cls):
-    return {f.name for f in fields(cls)}
-
-
 def load_run_config(path=None, text=None, overrides=None) -> RunConfig:
     """Build a fully validated RunConfig; unknown keys are rejected."""
     if text is None:
@@ -102,31 +124,34 @@ def load_run_config(path=None, text=None, overrides=None) -> RunConfig:
         raise ConfigError(
             f"unsupported spec_version {entries.get('spec_version')!r}")
 
-    sections = {"model": {}, "train": {}, "ensemble": {}}
-    section_classes = {"model": ModelConfig, "train": TrainConfig,
-                       "ensemble": EnsembleConfig}
+    sections = {head: {} for head in _SECTIONS}
     options = {key: default for key, (_, default) in _TOP_LEVEL.items()}
     for key, value in entries.items():
-        head, _, rest = key.partition(".")
-        if head in sections and rest:
-            if rest not in _section_fields(section_classes[head]):
-                raise ConfigError(f"unknown key {key!r}")
-            sections[head][rest] = value
-        elif key in _TOP_LEVEL:
-            _check_type(key, value)
-            options[key] = value
-        else:
+        if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
+        value = _check_type(key, value)
+        head, _, rest = key.partition(".")
+        if head in sections:
+            sections[head][rest] = value
+        else:
+            options[key] = value
     try:
-        model = ModelConfig(**sections["model"])
-        train = TrainConfig(**sections["train"])
-        ensemble = EnsembleConfig(**sections["ensemble"])
-    except (TypeError, ValueError) as exc:
+        model, train, ensemble = (cls(**sections[head])
+                                  for head, cls in _SECTIONS.items())
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if options["decompose.levels"] is None:
         options["decompose.levels"] = max(1, model.n_stacks - 1)
     if options["decompose.kind"] is None:
         options["decompose.kind"] = model.wavelet_kind
+    for key, low in (("stride", 1), ("synthetic.length", 1),
+                     ("synthetic.noise", 0), ("decompose.levels", 1),
+                     ("ablate.repetitions", 1)):
+        if options[key] < low:
+            raise ConfigError(f"{key} must be >= {low}")
+    if options["decompose.kind"] not in list(FilterKind):
+        raise ConfigError(
+            f"unknown decompose.kind {options['decompose.kind']!r}")
     fracs = (options["split.train"], options["split.val"],
              options["split.test"])
     if abs(sum(fracs) - 1.0) > 1e-9:
@@ -138,7 +163,6 @@ def load_run_config(path=None, text=None, overrides=None) -> RunConfig:
 def resolved_config_text(run: RunConfig) -> str:
     """Serialize the fully-defaulted configuration back to the key-value
     format, deterministically ordered."""
-    from dataclasses import asdict
     lines = [f"spec_version = {SPEC_VERSION}"]
     for key in sorted(k for k in run.options if k != "spec_version"):
         lines.append(f"{key} = {json.dumps(run.options[key])}")

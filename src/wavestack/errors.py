@@ -5,7 +5,11 @@ class WavestackError(Exception):
     """Base class for all library errors."""
 
 
-class SeriesTooShort(WavestackError):
+class InvalidInput(WavestackError):
+    """The config, a data file or a checkpoint is at fault (CLI exit 2)."""
+
+
+class SeriesTooShort(InvalidInput):
     pass
 
 
@@ -33,35 +37,35 @@ class NonFiniteLoss(WavestackError):
     pass
 
 
-class MissingColumn(WavestackError):
+class MissingColumn(InvalidInput):
     pass
 
 
-class NonNumericCell(WavestackError):
+class NonNumericCell(InvalidInput):
     def __init__(self, row, message=None):
         super().__init__(message or f"non-numeric cell at row {row}")
         self.row = row
 
 
-class EmptySeries(WavestackError):
+class EmptySeries(InvalidInput):
     pass
 
 
-class PartitionTooShort(WavestackError):
+class PartitionTooShort(InvalidInput):
     pass
 
 
-class ZeroVariance(WavestackError):
+class ZeroVariance(InvalidInput):
     pass
 
 
-class ConfigError(WavestackError):
+class ConfigError(InvalidInput):
     pass
 
 
-class ConfigMismatch(WavestackError):
+class ConfigMismatch(InvalidInput):
     pass
 
 
-class CorruptCheckpoint(WavestackError):
+class CorruptCheckpoint(InvalidInput):
     pass

@@ -31,8 +31,8 @@ class ModelConfig:
     hidden_depth: int = 3
     hidden_width: int = 16
     conv_variant: str = "dcn"  # one of CONV_VARIANTS, shared by stacks
-    kernel_sizes: Optional[tuple] = None  # per stack; default schedule below
-    dilations: tuple = (1, 2, 4)
+    kernel_sizes: Optional[tuple[int, ...]] = None  # per stack; default below
+    dilations: tuple[int, ...] = (1, 2, 4)
     wavelet_kind: str = "haar"
     theta_backcast_dim: Optional[int] = None  # default: conv output length
     theta_forecast_dim: Optional[int] = None  # default: horizon
@@ -68,8 +68,10 @@ class ModelConfig:
         object.__setattr__(self, "dilations", tuple(self.dilations))
         FilterKind(self.wavelet_kind)  # validates
         for name in ("lookback", "horizon", "blocks_per_stack",
-                     "hidden_depth"):
-            if getattr(self, name) < 1:
+                     "hidden_depth", "hidden_width", "theta_backcast_dim",
+                     "theta_forecast_dim"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if min(self.kernel_sizes + self.dilations, default=1) < 1:
             raise ValueError("kernel sizes and dilations must be >= 1")
@@ -219,7 +221,7 @@ def stack_forward(i: int, x_conv: Tensor, cfg: ModelConfig, leaves: dict,
 
 
 def make_leaves(params: dict, tape: Tape) -> dict:
-    return {name: tape.leaf(value) for name, value in params.items()}
+    return {name: tape.tensor(value) for name, value in params.items()}
 
 
 def _forward(x, cfg: ModelConfig, leaves: dict, tape: Tape,
@@ -239,7 +241,7 @@ def _forward(x, cfg: ModelConfig, leaves: dict, tape: Tape,
     if cfg.n_stacks >= 2:
         pyramid = mdwd(x, cfg.wavelet_levels, cfg.wavelet_kind)
         branches = [pyramid.approx[-1]] + pyramid.detail[::-1]
-    x_in = tape.leaf(x)
+    x_in = tape.tensor(x)
     global_forecast = backcast_t = None
     stack_forecasts, stack_backcasts, stack_inputs = [], [], []
     for i, branch in enumerate(branches, start=1):

@@ -43,8 +43,11 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must lie in (0, 1)")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name in ("epochs", "batch_size", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.grad_clip is not None and self.grad_clip <= 0.0:
+            raise ValueError("grad_clip must be positive or null")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.loss != "mse":

@@ -13,7 +13,7 @@ def _detached_forward(x, params, cfg):
     backcasts padded to the lookback)."""
     tape = Tape()
     leaves = md.make_leaves(params, tape)
-    residual = tape.leaf(np.asarray(x, dtype=np.float64))
+    residual = tape.tensor(np.asarray(x, dtype=np.float64))
     total, forecasts, backcasts = None, [], []
     for i in range(1, cfg.n_stacks + 1):
         x_conv = md.stack_conv(i, residual, cfg, leaves, tape)

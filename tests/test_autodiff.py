@@ -7,7 +7,7 @@ from wavestack.errors import InputTooShort, ShapeMismatch
 
 
 def _leaf(tape, values):
-    return tape.leaf(np.asarray(values, dtype=np.float64))
+    return tape.tensor(np.asarray(values, dtype=np.float64))
 
 
 class TestAffine:
@@ -241,6 +241,6 @@ class TestGradCheck:
 
         def build(tape, leaves):
             unused = leaves["theta"]
-            return ad.mse_loss(tape.leaf(np.zeros(1)), np.zeros(1), tape)
+            return ad.mse_loss(tape.tensor(np.zeros(1)), np.zeros(1), tape)
 
         assert ad.grad_check(build, params) == 0.0

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from wavestack import cli
 from wavestack import model as md
 from wavestack import training as tr
 
@@ -43,3 +44,14 @@ def test_tracer_counts_every_evaluated_window():
         tr.evaluate(windows, params, cfg)
     assert tracer.calls["model.forward"] == len(windows) == 7
     assert tracer.evaluated_windows == len(windows)
+
+
+def test_tracer_counts_cli_config_load(tmp_path):
+    # the benchmark times config loading by wrapping cli.load_run_config, so
+    # cli.main must look the name up in its module on every call
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("synthetic.length = 64\n")
+    with _load_tracing().Tracer() as tracer:
+        assert cli.main(["decompose", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+    assert tracer.calls["config.load_run_config"] == 1

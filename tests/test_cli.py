@@ -1,8 +1,15 @@
+import inspect
+import json
+import re
+import typing
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wavestack import cli, config as cfgmod, dataio
+from wavestack import cli, config as cfgmod, dataio, errors
 from wavestack.errors import ConfigError
+from wavestack.model import CONV_VARIANTS
 
 TINY_CONFIG = """
 # fast synthetic run
@@ -62,6 +69,35 @@ class TestConfigParsing:
             cfgmod.parse_config_text("just a line\n")
 
 
+# values every one of which loads, in any combination
+VALID_ENTRIES = {
+    "model.n_stacks": st.integers(2, 4),
+    "model.alpha": st.floats(0.0, 1.0) | st.sampled_from([0, 1]),
+    "model.lookback": st.integers(64, 720),
+    "model.horizon": st.integers(1, 48),
+    "model.hidden_width": st.integers(1, 64),
+    "model.conv_variant": st.sampled_from(CONV_VARIANTS),
+    "model.wavelet_kind": st.sampled_from(["haar", "db2", "sym4"]),
+    "model.theta_forecast_dim": st.none() | st.integers(1, 32),
+    "model.dropout_rate": st.floats(0.0, 0.9) | st.just(0),
+    "model.freeze_conv": st.booleans(),
+    "train.learning_rate": st.floats(1e-6, 1.0),
+    "train.epochs": st.integers(1, 500),
+    "train.grad_clip": st.none() | st.floats(1e-3, 1e3) | st.integers(1, 9),
+    "ensemble.aggregation": st.sampled_from(["median", "mean"]),
+    "ensemble.bootstrap": st.booleans(),
+    "data": st.none() | st.text("abc/._", min_size=1, max_size=8),
+    "stride": st.integers(1, 8),
+    "standardize": st.booleans(),
+    "synthetic.noise": st.floats(0.0, 1.0) | st.just(0),
+    "decompose.levels": st.none() | st.integers(1, 6),
+    "ablate.alpha_grid": st.lists(st.floats(0.0, 1.0) | st.just(1),
+                                  max_size=4),
+    "ablate.conv_grid": st.lists(st.sampled_from(CONV_VARIANTS),
+                                 max_size=3),
+}
+
+
 class TestRunConfig:
     def test_defaults_applied(self):
         run = cfgmod.load_run_config(text="")
@@ -115,6 +151,23 @@ class TestRunConfig:
         again = cfgmod.load_run_config(text=resolved)
         assert cfgmod.resolved_config_text(again) == resolved
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=VALID_ENTRIES))
+    def test_resolved_round_trip_property(self, entries):
+        run = cfgmod.load_run_config(text="".join(
+            f"{key} = {json.dumps(value)}\n"
+            for key, value in entries.items()))
+        resolved = cfgmod.resolved_config_text(run)
+        again = cfgmod.load_run_config(text=resolved)
+        assert again == run
+        assert cfgmod.resolved_config_text(again) == resolved
+
+    def test_int_for_float_is_float(self):
+        run = cfgmod.load_run_config(text=with_entries(
+            "model.dropout_rate = 0", "ablate.alpha_grid = [0, 1]"))
+        assert type(run.model.dropout_rate) is float
+        assert [type(a) for a in run["ablate.alpha_grid"]] == [float, float]
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -144,6 +197,8 @@ class TestExitCodes:
         "split.val = false",
         "stride = null",  # null only where the default is None
         'synthetic.length = "480"',
+        'ablate.alpha_grid = ["x"]',  # each element is checked
+        "synthetic.noise = Infinity",  # a float must be finite
     ])
     def test_mistyped_top_level_key(self, entry, tmp_path, capsys):
         cfg = tmp_path / "typed.cfg"
@@ -172,6 +227,9 @@ class TestExitCodes:
                       "model.kernel_sizes = [9, 9]"), id="dcn_too_wide"),
         pytest.param(('model.conv_variant = "maxpool"',
                       "model.kernel_sizes = [17, 17]"), id="pool_too_wide"),
+        pytest.param(("model.hidden_width = 0",), id="no_width"),
+        pytest.param(("model.theta_backcast_dim = -1",), id="theta_b_neg"),
+        pytest.param(("model.theta_forecast_dim = 0",), id="theta_f_0"),
     ])
     def test_unbuildable_model(self, entries, tmp_path, capsys):
         cfg = tmp_path / "model.cfg"
@@ -182,6 +240,100 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("entries", [
+        pytest.param(("model.lookback = 16.5",), id="lookback_float"),
+        pytest.param(("train.epochs = 1.5",), id="epochs_float"),
+        pytest.param(('model.conv_variant = "dcn"',
+                      "model.dilations = [1, 1.5]"), id="dilation_float"),
+        pytest.param(("train.epochs = 0",), id="no_epochs"),
+        pytest.param(("model.alpha = true",), id="alpha_bool"),
+        pytest.param(("train.grad_clip = -1",), id="grad_clip_negative"),
+        pytest.param(("ablate.repetitions = 0",), id="no_repetitions"),
+        pytest.param(("stride = 0",), id="stride_0"),
+        pytest.param(("train.batch_size = 0",), id="batch_size_0"),
+        pytest.param(("synthetic.length = 0",), id="synthetic_length_0"),
+        pytest.param(("decompose.levels = 0",), id="levels_0"),
+        pytest.param(('decompose.kind = "foo"',), id="kind_unknown"),
+        pytest.param(("train.learning_rate = NaN",), id="nan"),
+    ])
+    def test_config_fault(self, entries, tmp_path, capsys):
+        cfg = tmp_path / "fault.cfg"
+        cfg.write_text(with_entries(*entries))
+        with pytest.raises(ConfigError):
+            cfgmod.load_run_config(cfg)
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("fault", ["data_dir", "checkpoint_dir",
+                                       "constant_series"])
+    def test_input_fault(self, fault, tiny_config, tmp_path, capsys):
+        cfg, argv = tiny_config, ["train"]
+        if fault == "checkpoint_dir":
+            argv = ["forecast", "--checkpoint", str(tmp_path)]
+        else:
+            data = tmp_path
+            if fault == "constant_series":
+                data = tmp_path / "flat.csv"
+                data.write_text("t,value\n" + "".join(
+                    f"{t},1.5\n" for t in range(200)))
+            cfg = tmp_path / "data.cfg"
+            cfg.write_text(with_entries(f"data = {json.dumps(str(data))}"))
+        assert cli.main(argv + ["--config", str(cfg),
+                                "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_every_key_is_type_checked(self):
+        def mistyped(kind):
+            if typing.get_origin(kind) is typing.Union:  # Optional[X]
+                kind = typing.get_args(kind)[0]
+            if typing.get_origin(kind) in (list, tuple):
+                return [mistyped(typing.get_args(kind)[0])]
+            return {int: 1.5, float: True, str: 3, bool: 1}[kind]
+
+        for key, (kind, _) in cfgmod._SCHEMA.items():
+            text = f"{key} = {json.dumps(mistyped(kind))}\n"
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                cfgmod.load_run_config(text=text)
+
+    EXIT_CODES = {
+        "WavestackError": 3, "InvalidInput": 2, "SeriesTooShort": 2,
+        "NonFiniteInput": 3, "ResolutionTooFine": 3, "ShapeMismatch": 3,
+        "InputTooShort": 3, "NonFiniteGradient": 3, "NonFiniteLoss": 3,
+        "MissingColumn": 2, "NonNumericCell": 2, "EmptySeries": 2,
+        "PartitionTooShort": 2, "ZeroVariance": 2, "ConfigError": 2,
+        "ConfigMismatch": 2, "CorruptCheckpoint": 2,
+    }
+
+    def test_exit_code_table_covers_errors_module(self):
+        classes = {name for name, obj in vars(errors).items()
+                   if inspect.isclass(obj)
+                   and issubclass(obj, errors.WavestackError)}
+        assert classes == set(self.EXIT_CODES)
+
+    @pytest.mark.parametrize("exc,code,prefix", [
+        *(pytest.param(getattr(errors, name)("boom"), code,
+                       "error: " if code == 2 else "runtime error: ", id=name)
+          for name, code in sorted(EXIT_CODES.items())),
+        pytest.param(OSError("disk full"), 2, "error: ", id="os"),
+        pytest.param(UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad byte"),
+                     2, "error: ", id="decode"),
+        pytest.param(KeyError("s1.b1.W"), 3, "internal error: KeyError: ",
+                     id="internal"),
+    ])
+    def test_exit_code(self, exc, code, prefix, tiny_config, tmp_path,
+                       monkeypatch, capsys):
+        def failing(run, out):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_train", failing)
+        assert cli.main(["train", "--config", str(tiny_config),
+                         "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_runtime_error_is_three(self, tmp_path, capsys):
@@ -247,6 +399,18 @@ class TestTrainForecastEval:
         assert cli.main(["forecast", "--config", str(other),
                          "--out", str(tmp_path / "fc"),
                          "--checkpoint", str(out / "checkpoint.txt")]) == 2
+
+    def test_int_and_float_spellings_share_a_checkpoint(self, tmp_path):
+        # equal configs must hash equally, however a float is spelled
+        out = tmp_path / "run"
+        int_cfg, float_cfg = tmp_path / "int.cfg", tmp_path / "float.cfg"
+        int_cfg.write_text(with_entries("model.dropout_rate = 0"))
+        float_cfg.write_text(with_entries("model.dropout_rate = 0.0"))
+        assert cli.main(["train", "--config", str(int_cfg),
+                         "--out", str(out)]) == 0
+        assert cli.main(["forecast", "--config", str(float_cfg),
+                         "--out", str(tmp_path / "fc"),
+                         "--checkpoint", str(out / "checkpoint.txt")]) == 0
 
     @pytest.mark.parametrize("damage", ["header_only", "tensor_removed",
                                         "cut_mid_line", "header_key_only"])

@@ -93,7 +93,7 @@ class TestBlockForward:
         params = {k: np.zeros_like(v) for k, v in md.init_params(cfg).items()}
         tape = Tape()
         leaves = md.make_leaves(params, tape)
-        x = tape.leaf(np.random.default_rng(1).normal(size=16))
+        x = tape.tensor(np.random.default_rng(1).normal(size=16))
         backcast, forecast = md.block_forward(x, 1, 1, cfg, leaves, tape)
         np.testing.assert_array_equal(backcast.value, np.zeros(16))
         np.testing.assert_array_equal(forecast.value, np.zeros(4))
@@ -104,7 +104,7 @@ class TestBlockForward:
         params["s1.b1.proj_f.b"] = np.ones(4)
         tape = Tape()
         leaves = md.make_leaves(params, tape)
-        x = tape.leaf(np.random.default_rng(2).normal(size=16))
+        x = tape.tensor(np.random.default_rng(2).normal(size=16))
         _, forecast = md.block_forward(x, 1, 1, cfg, leaves, tape)
         np.testing.assert_array_equal(forecast.value, np.ones(4))
 
@@ -119,7 +119,7 @@ class TestBlockForward:
         x = np.array([0.7, -0.2])
         tape = Tape()
         leaves = md.make_leaves(params, tape)
-        backcast, forecast = md.block_forward(tape.leaf(x), 1, 1, cfg,
+        backcast, forecast = md.block_forward(tape.tensor(x), 1, 1, cfg,
                                               leaves, tape)
         h = max(0.0, float((params["s1.b1.trunk0.W"] @ x +
                             params["s1.b1.trunk0.b"])[0]))
@@ -142,10 +142,10 @@ class TestStackForward:
         x = np.random.default_rng(4).normal(size=16)
         tape1 = Tape()
         leaves1 = md.make_leaves(params, tape1)
-        sb, sf = md.stack_forward(1, tape1.leaf(x), cfg, leaves1, tape1)
+        sb, sf = md.stack_forward(1, tape1.tensor(x), cfg, leaves1, tape1)
         tape2 = Tape()
         leaves2 = md.make_leaves(params, tape2)
-        bb, bf = md.block_forward(tape2.leaf(x), 1, 1, cfg, leaves2, tape2)
+        bb, bf = md.block_forward(tape2.tensor(x), 1, 1, cfg, leaves2, tape2)
         np.testing.assert_array_equal(sb.value, bb.value)
         np.testing.assert_array_equal(sf.value, bf.value)
 
@@ -155,13 +155,13 @@ class TestStackForward:
         x = np.random.default_rng(5).normal(size=16)
         tape = Tape()
         leaves = md.make_leaves(params, tape)
-        sb, sf = md.stack_forward(1, tape.leaf(x), cfg, leaves, tape)
+        sb, sf = md.stack_forward(1, tape.tensor(x), cfg, leaves, tape)
 
         # straight-line recomputation
         def block(xin, k):
             t2 = Tape()
             l2 = md.make_leaves(params, t2)
-            b, f = md.block_forward(t2.leaf(xin), 1, k, cfg, l2, t2)
+            b, f = md.block_forward(t2.tensor(xin), 1, k, cfg, l2, t2)
             return b.value, f.value
 
         b1, f1 = block(x, 1)
@@ -285,7 +285,7 @@ class TestConvVariants:
     def test_none_is_identity(self):
         cfg = small_cfg()
         tape = Tape()
-        x = tape.leaf(np.arange(16.0))
+        x = tape.tensor(np.arange(16.0))
         out = md.stack_conv(1, x, cfg, {}, tape)
         assert out is x
 
@@ -295,7 +295,7 @@ class TestConvVariants:
         params = md.init_params(cfg)
         tape = Tape()
         leaves = md.make_leaves(params, tape)
-        x = tape.leaf(np.arange(32.0))
+        x = tape.tensor(np.arange(32.0))
         out = md.stack_conv(1, x, cfg, leaves, tape)
         # delta kernels shift nothing; valid convolution trims the head
         np.testing.assert_array_equal(out.value, x.value[-len(out.value):])
