@@ -1,8 +1,11 @@
 """Minimal dense-tensor numerics with reverse-mode differentiation.
 
-Values are double-precision numpy arrays.  Every operation appends a node
-to a Tape; Tape.backward walks the nodes in reverse append order exactly
-once, accumulating (never overwriting) gradients into fan-out tensors.
+Values are double-precision numpy arrays.  Every operation works on the
+last axis, so one window [T] and a batch of windows [B, T] take the same
+path.  Every operation appends a node to a Tape; Tape.backward walks the
+nodes in reverse append order exactly once, accumulating (never
+overwriting) gradients into fan-out tensors.  An InferenceTape keeps the
+values and records nothing, for forward passes that need no gradient.
 """
 
 from __future__ import annotations
@@ -43,33 +46,52 @@ class Tape:
         return node
 
     def backward(self, loss: Tensor):
-        """Populate .grad on every node reachable from `loss`."""
+        """Populate .grad on every node reachable from `loss`.  A gradient
+        is allocated when a node is first reached; a leaf never reached
+        gets zeros.  Gradients are never updated in place, because the
+        identity VJPs hand one array to several nodes."""
         if loss.value.ndim != 0 and loss.value.size != 1:
             raise ShapeMismatch("backward requires a scalar loss")
         for node in self.nodes:
-            node.grad = np.zeros_like(node.value)
+            node.grad = None
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes):
-            if not np.any(node.grad):
+            if node.grad is None:
                 continue
             for parent, vjp in node.parents:
-                parent.grad = parent.grad + vjp(node.grad)
+                contribution = vjp(node.grad)
+                parent.grad = contribution if parent.grad is None \
+                    else parent.grad + contribution
+        for node in self.nodes:
+            if node.grad is None and not node.parents:
+                node.grad = np.zeros_like(node.value)
+
+
+class InferenceTape(Tape):
+    """A tape that keeps each operation's value and records no node and no
+    parent: a forward pass on it holds nothing alive but the values the
+    caller keeps."""
+
+    def tensor(self, value, parents=()):
+        return Tensor(value)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape) -> Tensor:
-    """y = W x + b for a vector x."""
-    if w.value.ndim != 2 or x.value.ndim != 1 or b.value.ndim != 1:
-        raise ShapeMismatch("affine expects W[m,n], x[n], b[m]")
+    """y = x W^T + b over the last axis of x: one vector [n] or a batch
+    [B, n]."""
+    if w.value.ndim != 2 or x.value.ndim not in (1, 2) or b.value.ndim != 1:
+        raise ShapeMismatch("affine expects W[m,n], x[n] or x[B,n], b[m]")
     m, n = w.value.shape
-    if x.value.shape[0] != n or b.value.shape[0] != m:
+    if x.value.shape[-1] != n or b.value.shape[0] != m:
         raise ShapeMismatch(
             f"affine shapes do not conform: W{w.value.shape} x{x.value.shape} "
             f"b{b.value.shape}")
-    y = w.value @ x.value + b.value
+    y = x.value @ w.value.T + b.value
+    batched = x.value.ndim == 2
     return tape.tensor(y, (
-        (w, lambda g, xv=x.value: np.outer(g, xv)),
-        (x, lambda g, wv=w.value: wv.T @ g),
-        (b, lambda g: g),
+        (w, lambda g, xv=x.value: g.T @ xv if batched else np.outer(g, xv)),
+        (x, lambda g, wv=w.value: g @ wv),
+        (b, lambda g: g.sum(axis=0) if batched else g),
     ))
 
 
@@ -80,23 +102,27 @@ def relu(x: Tensor, tape: Tape) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,
-            tape: Tape, training: bool) -> Tensor:
+            tape: Tape, training: bool, draws=None) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-rate); identity at
-    inference or rate 0."""
+    inference or rate 0.  `draws`, uniform on [0, 1) in x's shape, are
+    used in place of a fresh draw from `rng` when given."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if not training or rate == 0.0:
         return x
-    keep = rng.random(x.value.shape) >= rate
-    scale_arr = keep / (1.0 - rate)
+    if draws is None:
+        draws = rng.random(x.value.shape)
+    scale_arr = (draws >= rate) / (1.0 - rate)
     return tape.tensor(x.value * scale_arr,
                        ((x, lambda g, s=scale_arr: g * s),))
 
 
 def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int,
                    tape: Tape) -> Tensor:
-    """Causal valid convolution: y_t = sum_j kernel_j * x_{t - j*dilation}."""
-    t = x.value.shape[0]
+    """Causal valid convolution over the last axis:
+    y_t = sum_j kernel_j * x_{t - j*dilation}."""
+    shape = x.value.shape
+    t = shape[-1]
     k = kernel.value.shape[0]
     if dilation < 1 or k < 1:
         raise ValueError("kernel size and dilation must be >= 1")
@@ -105,59 +131,70 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int,
         raise InputTooShort(
             f"input length {t} < receptive field {span + 1}")
     t_out = t - span
-    taps = np.stack([x.value[span - j * dilation: span - j * dilation + t_out]
-                     for j in range(k)])  # [k, t_out]
-    y = kernel.value @ taps
+    # [k, ...batch, t_out] flattened to [k, batch * t_out]: one product
+    taps = np.stack([x.value[..., span - j * dilation:
+                             span - j * dilation + t_out]
+                     for j in range(k)]).reshape(k, -1)
+    y = (kernel.value @ taps).reshape(shape[:-1] + (t_out,))
 
-    def vjp_x(g, k=k, span=span, t=t, t_out=t_out, dilation=dilation,
+    def vjp_x(g, k=k, span=span, t_out=t_out, dilation=dilation,
               kv=kernel.value):
-        gx = np.zeros(t)
+        gx = np.zeros(shape)
         for j in range(k):
             start = span - j * dilation
-            gx[start:start + t_out] += kv[j] * g
+            gx[..., start:start + t_out] += kv[j] * g
         return gx
 
     return tape.tensor(y, (
-        (kernel, lambda g, tp=taps: tp @ g),
+        (kernel, lambda g, tp=taps: tp @ g.reshape(-1)),
         (x, vjp_x),
     ))
 
 
-def _pool_prep(x: Tensor, window: int):
+def _pool_blocks(x: Tensor, window: int):
+    """x's last axis cut into [..., t_out, window] blocks, the tail that
+    fills no block dropped."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    t = x.value.shape[0]
+    t = x.value.shape[-1]
     if t < window:
         raise InputTooShort(f"input length {t} < window {window}")
     t_out = t // window
-    return t, t_out
+    lead = x.value.shape[:-1]
+    return x.value[..., : t_out * window].reshape(lead + (t_out, window))
+
+
+def _unpool(blocks_grad: np.ndarray, shape) -> np.ndarray:
+    """Gradient of blocks back on the input shape; the tail gets zero."""
+    gx = np.zeros(shape)
+    gx[..., : blocks_grad.shape[-2] * blocks_grad.shape[-1]] = \
+        blocks_grad.reshape(shape[:-1] + (-1,))
+    return gx
 
 
 def maxpool1d(x: Tensor, window: int, tape: Tape) -> Tensor:
-    """Non-overlapping max pooling, stride = window; gradient routes to
-    the first argmax in each window."""
-    t, t_out = _pool_prep(x, window)
-    blocks = x.value[: t_out * window].reshape(t_out, window)
-    arg = blocks.argmax(axis=1)  # first index on ties
-    y = blocks[np.arange(t_out), arg]
+    """Non-overlapping max pooling over the last axis, stride = window;
+    gradient routes to the first argmax in each window."""
+    blocks = _pool_blocks(x, window)
+    arg = blocks.argmax(axis=-1)[..., None]  # first index on ties
+    y = np.take_along_axis(blocks, arg, axis=-1)[..., 0]
 
-    def vjp(g, arg=arg, t=t, t_out=t_out, window=window):
-        gx = np.zeros(t)
-        gx[np.arange(t_out) * window + arg] = g
-        return gx
+    def vjp(g, arg=arg, shape=x.value.shape, blocks_shape=blocks.shape):
+        gb = np.zeros(blocks_shape)
+        np.put_along_axis(gb, arg, g[..., None], axis=-1)
+        return _unpool(gb, shape)
 
     return tape.tensor(y, ((x, vjp),))
 
 
 def avgpool1d(x: Tensor, window: int, tape: Tape) -> Tensor:
-    """Non-overlapping mean pooling, stride = window."""
-    t, t_out = _pool_prep(x, window)
-    y = x.value[: t_out * window].reshape(t_out, window).mean(axis=1)
+    """Non-overlapping mean pooling over the last axis, stride = window."""
+    blocks = _pool_blocks(x, window)
+    y = blocks.mean(axis=-1)
 
-    def vjp(g, t=t, t_out=t_out, window=window):
-        gx = np.zeros(t)
-        gx[: t_out * window] = np.repeat(g / window, window)
-        return gx
+    def vjp(g, shape=x.value.shape, blocks_shape=blocks.shape):
+        return _unpool(np.broadcast_to((g / window)[..., None],
+                                       blocks_shape), shape)
 
     return tape.tensor(y, ((x, vjp),))
 
@@ -189,14 +226,17 @@ def blend(const_branch: np.ndarray, x: Tensor, alpha: float,
 
 
 def pad_left(x: Tensor, n: int, tape: Tape) -> Tensor:
-    """Prepend n zeros; gradient is the matching slice."""
+    """Prepend n zeros to the last axis; gradient is the matching slice."""
     if n == 0:
         return x
-    y = np.concatenate([np.zeros(n), x.value])
-    return tape.tensor(y, ((x, lambda g: g[n:]),))
+    y = np.concatenate([np.zeros(x.value.shape[:-1] + (n,)), x.value],
+                       axis=-1)
+    return tape.tensor(y, ((x, lambda g: g[..., n:]),))
 
 
 def mse_loss(pred: Tensor, target: np.ndarray, tape: Tape) -> Tensor:
+    """Mean squared error over every element: for a [B, H] batch, the mean
+    of the per-window losses."""
     target = np.asarray(target, dtype=np.float64)
     if pred.value.shape != target.shape:
         raise ShapeMismatch(f"mse: {pred.value.shape} vs {target.shape}")
@@ -220,13 +260,12 @@ def grad_check(build, params: dict, eps: float = 1e-5) -> float:
     tensors mirroring `params`.
     """
 
-    def run(values):
-        tape = Tape()
+    def run(values, tape):
         leaves = {k: tape.tensor(v) for k, v in values.items()}
-        loss = build(tape, leaves)
-        return tape, leaves, loss
+        return leaves, build(tape, leaves)
 
-    tape, leaves, loss = run(params)
+    tape = Tape()
+    leaves, loss = run(params, tape)
     if not np.isfinite(loss.value):
         raise NonFiniteLoss("loss is not finite at the check point")
     tape.backward(loss)
@@ -238,9 +277,9 @@ def grad_check(build, params: dict, eps: float = 1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = run(params)[2].value
+            f_plus = run(params, InferenceTape())[1].value
             flat[i] = orig - eps
-            f_minus = run(params)[2].value
+            f_minus = run(params, InferenceTape())[1].value
             flat[i] = orig
             fd = (f_plus - f_minus) / (2.0 * eps)
             ad = analytic[name].reshape(-1)[i]

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import dataio, ensemble as ens, training as tr
 from . import model as md
-from .autodiff import Tape
+from .autodiff import InferenceTape
 from .config import RunConfig, load_run_config, resolved_config_text
-from .errors import ConfigError, InvalidInput, WavestackError
+from .errors import ConfigError, InvalidInput, WavestackError, describe
 from .wavelet import mdwd
 
 ABLATION_AXES = ("alpha", "stacks", "conv", "ensemble_size", "noise")
@@ -103,7 +103,7 @@ def cmd_forecast(run: RunConfig, out: Path, checkpoint: str) -> None:
     dataset, _, _ = _prepare(run)
     params, _ = tr.load_checkpoint(checkpoint, run.model)
     window = dataset.raw[-run.model.lookback:]
-    bundle = md.model_forward(window, params, run.model, Tape())
+    bundle = md.model_forward(window, params, run.model, InferenceTape())
     dataio.save_csv(out / "global.csv", bundle.global_forecast)
     for i in range(1, run.model.n_stacks + 1):
         dataio.save_csv(out / f"stack{i}.forecast.csv",
@@ -190,7 +190,7 @@ def _try_cell(task):
     try:
         return _run_cell(task), None
     except Exception as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {describe(exc)}"
 
 
 def cmd_ablate(run: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
@@ -281,13 +281,13 @@ def main(argv=None) -> int:
         elif args.command == "ablate":
             cmd_ablate(run, out, args.axis, jobs=args.jobs)
     except (InvalidInput, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {describe(exc)}", file=sys.stderr)
         return 2
     except WavestackError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {describe(exc)}", file=sys.stderr)
         return 3
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}",
+        print(f"internal error: {type(exc).__name__}: {describe(exc)}",
               file=sys.stderr)
         return 3
     return 0

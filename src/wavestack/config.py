@@ -11,7 +11,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 from .ensemble import EnsembleConfig
 from .errors import ConfigError
-from .model import ModelConfig
+from .model import CONV_VARIANTS, ModelConfig
 from .training import TrainConfig
 from .wavelet import FilterKind
 
@@ -146,9 +146,21 @@ def load_run_config(path=None, text=None, overrides=None) -> RunConfig:
         options["decompose.kind"] = model.wavelet_kind
     for key, low in (("stride", 1), ("synthetic.length", 1),
                      ("synthetic.noise", 0), ("decompose.levels", 1),
-                     ("ablate.repetitions", 1)):
-        if options[key] < low:
+                     ("ablate.repetitions", 1), ("ablate.alpha_grid", 0),
+                     ("ablate.stacks_grid", 1), ("ablate.ensemble_grid", 1),
+                     ("ablate.noise_grid", 0)):
+        values = options[key]
+        if not isinstance(values, list):
+            values = [values]
+        if any(value < low for value in values):
             raise ConfigError(f"{key} must be >= {low}")
+    if any(value > 1 for value in options["ablate.alpha_grid"]):
+        raise ConfigError("ablate.alpha_grid must be <= 1")
+    unknown = set(options["ablate.conv_grid"]) - set(CONV_VARIANTS)
+    if unknown:
+        raise ConfigError(f"ablate.conv_grid: unknown conv variant "
+                          f"{sorted(unknown)}; expected one of "
+                          f"{CONV_VARIANTS}")
     if options["decompose.kind"] not in list(FilterKind):
         raise ConfigError(
             f"unknown decompose.kind {options['decompose.kind']!r}")

@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import (
     EmptySeries,
+    MalformedCsv,
     MissingColumn,
     NonNumericCell,
     PartitionTooShort,
@@ -49,20 +50,25 @@ def load_csv(path, value_column: str) -> np.ndarray:
     """Read one numeric column, preserving row order."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or value_column not in reader.fieldnames:
-            raise MissingColumn(
-                f"column {value_column!r} not found in {path}")
         values = []
-        for row_no, row in enumerate(reader, start=1):
-            cell = row[value_column]
-            try:
-                value = float(cell)
-            except (TypeError, ValueError):
-                raise NonNumericCell(row_no) from None
-            if not np.isfinite(value):
-                raise NonNumericCell(row_no,
-                                     f"non-finite value at row {row_no}")
-            values.append(value)
+        try:
+            if reader.fieldnames is None or \
+                    value_column not in reader.fieldnames:
+                raise MissingColumn(
+                    f"column {value_column!r} not found in {path}")
+            for row_no, row in enumerate(reader, start=1):
+                cell = row[value_column]
+                try:
+                    value = float(cell)
+                except (TypeError, ValueError):
+                    raise NonNumericCell(row_no) from None
+                if not np.isfinite(value):
+                    raise NonNumericCell(row_no,
+                                         f"non-finite value at row {row_no}")
+                values.append(value)
+        except csv.Error as exc:
+            raise MalformedCsv(
+                f"{path}: line {reader.line_num}: {exc}") from None
     if not values:
         raise EmptySeries(f"no data rows in {path}")
     return np.array(values, dtype=np.float64)

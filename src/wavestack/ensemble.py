@@ -9,7 +9,7 @@ import numpy as np
 
 from . import model as md
 from . import training as tr
-from .autodiff import Tape
+from .autodiff import InferenceTape
 from .errors import ShapeMismatch
 
 AGGREGATIONS = ("median", "mean")
@@ -64,8 +64,11 @@ def train_ensemble(model_cfg: md.ModelConfig, train_windows: tr.WindowSet,
             result = tr.train(replace(model_cfg, seed=seed), windows,
                               val_windows, replace(train_cfg, seed=seed))
         except Exception as exc:
-            raise type(exc)(
-                f"ensemble member with seed {seed} failed: {exc}") from exc
+            # the same exception, so its class and exit code hold; the note
+            # is set by hand because add_note needs Python 3.11
+            exc.__notes__ = [*getattr(exc, "__notes__", []),
+                             f"in ensemble member with seed {seed}"]
+            raise
         members.append((seed, result))
     return members
 
@@ -89,7 +92,8 @@ def aggregate(member_forecasts, method: str = "median") -> np.ndarray:
 def ensemble_forecast(x, members, model_cfg: md.ModelConfig,
                       method: str = "median") -> EnsembleForecast:
     """Run every member on one input window and aggregate."""
-    forecasts = [md.model_forward(x, result.params, model_cfg, Tape())
-                 .global_forecast for _, result in members]
+    forecasts = [md.model_forward(x, result.params, model_cfg,
+                                  InferenceTape()).global_forecast
+                 for _, result in members]
     return EnsembleForecast(member_forecasts=forecasts,
                             aggregated=aggregate(forecasts, method))

@@ -1,6 +1,12 @@
 """Exception types shared across the library."""
 
 
+def describe(exc: BaseException) -> str:
+    """One line for a failure: the message, then each note attached to
+    the exception (PEP 678), such as the ensemble member that raised it."""
+    return "; ".join([str(exc), *getattr(exc, "__notes__", [])])
+
+
 class WavestackError(Exception):
     """Base class for all library errors."""
 
@@ -39,6 +45,11 @@ class NonFiniteLoss(WavestackError):
 
 class MissingColumn(InvalidInput):
     pass
+
+
+class MalformedCsv(InvalidInput):
+    """A data file the csv reader cannot parse, such as one with a field
+    over its size limit."""
 
 
 class NonNumericCell(InvalidInput):

@@ -109,7 +109,8 @@ class ModelConfig:
 @dataclass(frozen=True)
 class ForecastBundle:
     """Interpretability artifact: the global forecast plus every stack's
-    contribution and input signal."""
+    contribution and input signal.  Each array has the input's leading
+    axes: [H] or [T] for one window, [B, H] or [B, T] for a batch."""
 
     global_forecast: np.ndarray
     per_stack_forecast: list
@@ -177,19 +178,20 @@ def stack_conv(i: int, x_in: Tensor, cfg: ModelConfig, leaves: dict,
 
 
 def block_forward(x_block_in: Tensor, i: int, k: int, cfg: ModelConfig,
-                  leaves: dict, tape: Tape,
-                  rng: Optional[np.random.Generator] = None,
-                  training: bool = False):
+                  leaves: dict, tape: Tape, draws=None):
     """One basis-expansion block: trunk MLP, two coefficient heads, two
-    linear projections.  Returns (backcast, forecast)."""
+    linear projections.  Returns (backcast, forecast).  `draws`, the
+    forward pass's dropout draws (see `_forward`), turn dropout on."""
     prefix = f"s{i}.b{k}"
+    layer = ((i - 1) * cfg.blocks_per_stack + k - 1) * cfg.hidden_depth
     h = x_block_in
     for d in range(cfg.hidden_depth):
         h = ad.affine(h, leaves[f"{prefix}.trunk{d}.W"],
                       leaves[f"{prefix}.trunk{d}.b"], tape)
         h = ad.relu(h, tape)
-        if training and cfg.dropout_rate > 0.0:
-            h = ad.dropout(h, cfg.dropout_rate, rng, tape, training)
+        if draws is not None:
+            h = ad.dropout(h, cfg.dropout_rate, None, tape, True,
+                           draws=draws[..., layer + d, :])
     theta_b = ad.affine(h, leaves[f"{prefix}.head_b.W"],
                         leaves[f"{prefix}.head_b.b"], tape)
     theta_f = ad.affine(h, leaves[f"{prefix}.head_f.W"],
@@ -202,7 +204,7 @@ def block_forward(x_block_in: Tensor, i: int, k: int, cfg: ModelConfig,
 
 
 def stack_forward(i: int, x_conv: Tensor, cfg: ModelConfig, leaves: dict,
-                  tape: Tape, rng=None, training=False):
+                  tape: Tape, draws=None):
     """Chain blocks with backcast residuals; sum block backcasts and
     forecasts into the stack outputs."""
     block_in = x_conv
@@ -210,7 +212,7 @@ def stack_forward(i: int, x_conv: Tensor, cfg: ModelConfig, leaves: dict,
     sum_forecast = None
     for k in range(1, cfg.blocks_per_stack + 1):
         backcast, forecast = block_forward(
-            block_in, i, k, cfg, leaves, tape, rng, training)
+            block_in, i, k, cfg, leaves, tape, draws)
         sum_backcast = backcast if sum_backcast is None else \
             ad.add(sum_backcast, backcast, tape)
         sum_forecast = forecast if sum_forecast is None else \
@@ -227,16 +229,27 @@ def make_leaves(params: dict, tape: Tape) -> dict:
 def _forward(x, cfg: ModelConfig, leaves: dict, tape: Tape,
              rng: Optional[np.random.Generator] = None,
              training: bool = False) -> ForecastBundle:
-    """The forward pass: check the window, decompose it once, then run
-    blend -> conv -> blocks over every stack.  Stack 1 blends the coarsest
-    approximation into the raw window; each later stack blends the next
-    finer detail branch into the residual the previous stack left."""
+    """The forward pass of one window [T] or a batch [B, T]: check the
+    input, decompose it once, then run blend -> conv -> blocks over every
+    stack.  Stack 1 blends the coarsest approximation into the raw window;
+    each later stack blends the next finer detail branch into the residual
+    the previous stack left.
+
+    In training with dropout, every dropout draw of the pass is taken
+    from `rng` at once, window by window and in layer order within a
+    window, so a batch consumes the stream exactly as its windows would
+    one after another."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cfg.lookback,):
+    if x.ndim not in (1, 2) or x.shape[-1] != cfg.lookback:
         raise ShapeMismatch(
-            f"expected input of length {cfg.lookback}, got {x.shape}")
+            f"expected input of length {cfg.lookback} or a batch of them, "
+            f"got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("model input contains NaN or Inf")
+    draws = None
+    if training and cfg.dropout_rate > 0.0:
+        layers = cfg.n_stacks * cfg.blocks_per_stack * cfg.hidden_depth
+        draws = rng.random(x.shape[:-1] + (layers, cfg.hidden_width))
     branches = [None]  # one stack: alpha is 0, nothing to blend
     if cfg.n_stacks >= 2:
         pyramid = mdwd(x, cfg.wavelet_levels, cfg.wavelet_kind)
@@ -250,9 +263,9 @@ def _forward(x, cfg: ModelConfig, leaves: dict, tape: Tape,
         x_in = ad.blend(branch, x_in, cfg.alpha, tape)
         x_conv = stack_conv(i, x_in, cfg, leaves, tape)
         backcast, forecast = stack_forward(
-            i, x_conv, cfg, leaves, tape, rng, training)
+            i, x_conv, cfg, leaves, tape, draws)
         backcast_t = ad.pad_left(
-            backcast, cfg.lookback - backcast.value.shape[0], tape)
+            backcast, cfg.lookback - backcast.value.shape[-1], tape)
         global_forecast = forecast if global_forecast is None else \
             ad.add(global_forecast, forecast, tape)
         stack_forecasts.append(forecast.value)
@@ -271,14 +284,16 @@ def _forward(x, cfg: ModelConfig, leaves: dict, tape: Tape,
 def model_forward(x, params: dict, cfg: ModelConfig, tape: Tape,
                   rng: Optional[np.random.Generator] = None,
                   training: bool = False) -> ForecastBundle:
-    """Forward pass of one window with `params` as fresh tape leaves."""
+    """Forward pass of one window [T] or a batch [B, T] with `params` as
+    fresh tape leaves."""
     return _forward(x, cfg, make_leaves(params, tape), tape, rng, training)
 
 
 def forward_loss(x, target, params: dict, cfg: ModelConfig, tape: Tape,
                  rng=None, training=False):
-    """MSE loss of the global forecast against a horizon target; returns
-    (loss tensor, leaves) so callers can read gradients after backward."""
+    """MSE loss of the global forecast against a horizon target [H], or
+    [B, H] for a batch (the mean of the per-window losses); returns (loss
+    tensor, leaves) so callers can read gradients after backward."""
     leaves = make_leaves(params, tape)
     bundle = _forward(x, cfg, leaves, tape, rng, training)
     return ad.mse_loss(bundle.forecast_node, target, tape), leaves

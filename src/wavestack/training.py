@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import model as md
-from .autodiff import Tape
+from .autodiff import InferenceTape, Tape
 from .errors import (
     ConfigMismatch,
     CorruptCheckpoint,
@@ -22,6 +22,11 @@ from .errors import (
 )
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# Windows per forward pass in `forecast`.  A pass holds a few arrays of
+# [chunk, lookback] per block, so the chunk bounds inference memory
+# however many windows a set has.
+FORECAST_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -156,30 +161,36 @@ def _clip_grads(grads: dict, max_norm: float) -> None:
 
 
 def _batch_grads(batch_idx, windows, params, model_cfg, rng):
-    """Mean loss and mean gradients over one batch of windows."""
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    total = 0.0
-    scale = 1.0 / len(batch_idx)
-    for j in batch_idx:
-        tape = Tape()
-        loss, leaves = md.forward_loss(
-            windows.inputs[j], windows.targets[j], params, model_cfg,
-            tape, rng=rng, training=True)
-        if not np.isfinite(loss.value):
-            raise NonFiniteLoss(f"non-finite loss on window index {j}")
-        tape.backward(loss)
-        total += float(loss.value) * scale
-        for name in grads:
-            grads[name] += leaves[name].grad * scale
-    return total, grads
+    """Mean loss and mean gradients over one batch of windows, from one
+    forward and one backward pass over the whole batch."""
+    inputs = np.stack([windows.inputs[j] for j in batch_idx])
+    targets = np.stack([windows.targets[j] for j in batch_idx])
+    tape = Tape()
+    loss, leaves = md.forward_loss(inputs, targets, params, model_cfg,
+                                   tape, rng=rng, training=True)
+    if not np.isfinite(loss.value):
+        (pred, _), = loss.parents  # the loss's one parent: the forecast
+        bad = ~np.isfinite(np.mean((pred.value - targets) ** 2, axis=-1))
+        raise NonFiniteLoss(f"non-finite loss on window index "
+                            f"{batch_idx[int(np.argmax(bad))]}")
+    tape.backward(loss)
+    return float(loss.value), {name: leaves[name].grad for name in params}
 
 
 def forecast(inputs, params: dict, model_cfg) -> np.ndarray:
-    """Inference-mode global forecasts of a window set, shape [N, H].  The
-    one place that forecasts many windows; it calls `md.model_forward` by
-    its module attribute so that wrappers installed there see every call."""
-    return np.stack([md.model_forward(x, params, model_cfg, Tape())
-                     .global_forecast for x in inputs])
+    """Inference-mode global forecasts of a window set [N, T], shape
+    [N, H].  The one place that forecasts many windows: one forward pass
+    per FORECAST_CHUNK windows, on a tape that records nothing.  It calls
+    `md.model_forward` by its module attribute so that wrappers installed
+    there see every call."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2:
+        raise ShapeMismatch(f"expected a window set [N, T], got "
+                            f"{inputs.shape}")
+    return np.concatenate([
+        md.model_forward(inputs[start:start + FORECAST_CHUNK], params,
+                         model_cfg, InferenceTape()).global_forecast
+        for start in range(0, len(inputs), FORECAST_CHUNK)])
 
 
 def evaluate(windows: WindowSet, params: dict, model_cfg) -> dict:

@@ -97,32 +97,35 @@ class WaveletPyramid:
 
     levels: int
     original: np.ndarray
-    approx: list  # approx[i-1] is the level-i low branch, length T
-    detail: list  # detail[i-1] is the level-i high branch, length T
+    approx: list  # approx[i-1] is the level-i low branch, [..., T]
+    detail: list  # detail[i-1] is the level-i high branch, [..., T]
     raw_low: list  # half-rate low coefficients per level
     raw_high: list  # half-rate high coefficients per level
     kind: FilterKind
 
 
 def _analysis_step(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
-    """One decimated periodic filtering pass:
-    y[m] = sum_k x[(2m+k) mod T] * filt[k]."""
-    t = len(x)
-    k = len(filt)
-    ext = x[np.arange(t + k - 1) % t]
-    windows = np.lib.stride_tricks.sliding_window_view(ext, k)[:t]
-    return (windows @ filt)[0::2]
+    """One decimated periodic filtering pass over the last axis, of even
+    length T: y[..., m] = sum_j filt[j] * x[..., (2m+j) mod T], summed
+    tap by tap."""
+    t = x.shape[-1]
+    ext = x[..., np.arange(t + len(filt) - 1) % t]
+    y = filt[0] * ext[..., 0:t:2]
+    for j in range(1, len(filt)):
+        y = y + filt[j] * ext[..., j:j + t:2]
+    return y
 
 
-def _synthesis_step(low: np.ndarray, high: np.ndarray, pair: FilterPair,
+def _synthesis_step(coeffs: np.ndarray, filt: np.ndarray,
                     out_len: int) -> np.ndarray:
-    """Adjoint of the periodic analysis step (exact inverse for
-    orthonormal pairs)."""
-    k = len(pair)
-    x = np.zeros(out_len)
-    idx = (2 * np.arange(len(low))[:, None] + np.arange(k)[None, :]) % out_len
-    np.add.at(x, idx, low[:, None] * pair.low[None, :])
-    np.add.at(x, idx, high[:, None] * pair.high[None, :])
+    """Adjoint of the periodic analysis step for one filter, over the last
+    axis; summed over the low and high filters it inverts the analysis
+    exactly for orthonormal pairs.  out_len is even, so the positions one
+    tap writes are distinct."""
+    x = np.zeros(coeffs.shape[:-1] + (out_len,))
+    positions = 2 * np.arange(coeffs.shape[-1])
+    for j, f in enumerate(filt):
+        x[..., (positions + j) % out_len] += coeffs * f
     return x
 
 
@@ -131,9 +134,9 @@ def _decompose_coeffs(x, n_levels, pair):
     raw_low, raw_high, input_lengths = [], [], []
     cur = x
     for _ in range(n_levels):
-        input_lengths.append(len(cur))
-        if len(cur) % 2 == 1:
-            cur = np.concatenate([cur, cur[:1]])
+        input_lengths.append(cur.shape[-1])
+        if cur.shape[-1] % 2 == 1:
+            cur = np.concatenate([cur, cur[..., :1]], axis=-1)
         raw_low.append(_analysis_step(cur, pair.low))
         raw_high.append(_analysis_step(cur, pair.high))
         cur = raw_low[-1]
@@ -141,32 +144,34 @@ def _decompose_coeffs(x, n_levels, pair):
 
 
 def _reconstruct_from_level(coeffs, level, branch, pair, input_lengths):
-    """Invert from one branch at `level` down to level 0, zeroing the
-    complementary branch at every step."""
+    """Invert from one branch at `level` down to level 0.  The
+    complementary branch is zero at every step, so each step applies only
+    the branch's own filter."""
     raw_low, raw_high = coeffs
     if branch is Branch.APPROX:
-        low, high = raw_low[level - 1], np.zeros_like(raw_high[level - 1])
+        cur, filt = raw_low[level - 1], pair.low
     else:
-        low, high = np.zeros_like(raw_low[level - 1]), raw_high[level - 1]
+        cur, filt = raw_high[level - 1], pair.high
     for lvl in range(level, 0, -1):
         n_in = input_lengths[lvl - 1]
-        padded_len = n_in + (n_in % 2)
-        cur = _synthesis_step(low, high, pair, padded_len)[:n_in]
-        if lvl > 1:
-            low, high = cur, np.zeros(len(raw_high[lvl - 2]))
+        cur = _synthesis_step(cur, filt, n_in + n_in % 2)[..., :n_in]
+        filt = pair.low
     return cur
 
 
 def mdwd(x, n_levels: int,
          kind: FilterKind | str = FilterKind.HAAR) -> WaveletPyramid:
     """Multilevel decimated decomposition with every branch reconstructed
-    back to the original length."""
+    back to the original length.  `x` is one series [T] or a batch
+    [..., T], decomposed along its last axis; each row of a batch gives
+    the same result as a call on that row alone."""
     x = np.asarray(x, dtype=np.float64)
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    if len(x) < 2 ** n_levels:
+    if x.shape[-1] < 2 ** n_levels:
         raise SeriesTooShort(
-            f"series of length {len(x)} cannot support {n_levels} levels")
+            f"series of length {x.shape[-1]} cannot support {n_levels} "
+            f"levels")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("series contains NaN or Inf")
     pair = filter_bank(kind)

@@ -227,6 +227,16 @@ class TestTape:
         np.testing.assert_allclose(y.value, [0.4, 1.6])
 
 
+class TestInferenceTape:
+    def test_records_nothing(self):
+        tape = ad.InferenceTape()
+        x = _leaf(tape, [[1.0, -2.0], [3.0, 4.0]])
+        y = ad.relu(ad.affine(x, _leaf(tape, np.eye(2)),
+                              _leaf(tape, [0.5, 0.5]), tape), tape)
+        np.testing.assert_array_equal(y.value, [[1.5, 0.0], [3.5, 4.5]])
+        assert tape.nodes == [] and y.parents == ()
+
+
 class TestGradCheck:
     def test_quadratic_exact(self):
         params = {"theta": np.array([1.0, 2.0])}

@@ -2,12 +2,14 @@ import inspect
 import json
 import re
 import typing
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavestack import cli, config as cfgmod, dataio, errors
+from wavestack import ensemble as ens, training as tr
 from wavestack.errors import ConfigError
 from wavestack.model import CONV_VARIANTS
 
@@ -256,6 +258,13 @@ class TestExitCodes:
         pytest.param(("decompose.levels = 0",), id="levels_0"),
         pytest.param(('decompose.kind = "foo"',), id="kind_unknown"),
         pytest.param(("train.learning_rate = NaN",), id="nan"),
+        pytest.param(("ablate.alpha_grid = [0.4, 1.5]",), id="alpha_grid_1.5"),
+        pytest.param(("ablate.alpha_grid = [-0.1]",), id="alpha_grid_neg"),
+        pytest.param(("ablate.stacks_grid = [2, 0]",), id="stacks_grid_0"),
+        pytest.param(("ablate.ensemble_grid = [0]",), id="ensemble_grid_0"),
+        pytest.param(("ablate.noise_grid = [-0.1]",), id="noise_grid_neg"),
+        pytest.param(('ablate.conv_grid = ["dcn", "conv"]',),
+                     id="conv_grid_unknown"),
     ])
     def test_config_fault(self, entries, tmp_path, capsys):
         cfg = tmp_path / "fault.cfg"
@@ -268,7 +277,7 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("fault", ["data_dir", "checkpoint_dir",
-                                       "constant_series"])
+                                       "constant_series", "huge_field"])
     def test_input_fault(self, fault, tiny_config, tmp_path, capsys):
         cfg, argv = tiny_config, ["train"]
         if fault == "checkpoint_dir":
@@ -279,12 +288,17 @@ class TestExitCodes:
                 data = tmp_path / "flat.csv"
                 data.write_text("t,value\n" + "".join(
                     f"{t},1.5\n" for t in range(200)))
+            elif fault == "huge_field":  # over the csv module's field limit
+                data = tmp_path / "huge.csv"
+                data.write_text("t,value\n0," + "1" * 200_000 + "\n")
             cfg = tmp_path / "data.cfg"
             cfg.write_text(with_entries(f"data = {json.dumps(str(data))}"))
         assert cli.main(argv + ["--config", str(cfg),
                                 "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if fault == "huge_field":
+            assert str(data) in err
 
     def test_every_key_is_type_checked(self):
         def mistyped(kind):
@@ -303,7 +317,8 @@ class TestExitCodes:
         "WavestackError": 3, "InvalidInput": 2, "SeriesTooShort": 2,
         "NonFiniteInput": 3, "ResolutionTooFine": 3, "ShapeMismatch": 3,
         "InputTooShort": 3, "NonFiniteGradient": 3, "NonFiniteLoss": 3,
-        "MissingColumn": 2, "NonNumericCell": 2, "EmptySeries": 2,
+        "MissingColumn": 2, "MalformedCsv": 2, "NonNumericCell": 2,
+        "EmptySeries": 2,
         "PartitionTooShort": 2, "ZeroVariance": 2, "ConfigError": 2,
         "ConfigMismatch": 2, "CorruptCheckpoint": 2,
     }
@@ -334,6 +349,36 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("make,code", [
+        *(pytest.param(partial(getattr(errors, name), "boom"), code, id=name)
+          for name, code in sorted(EXIT_CODES.items())),
+        pytest.param(partial(UnicodeDecodeError, "utf-8", b"\xff", 0, 1,
+                             "bad byte"), 2, id="decode"),
+    ])
+    def test_ensemble_member_failure_keeps_class(
+            self, make, code, tiny_config, tmp_path, monkeypatch, capsys):
+        # the member's own exception comes out, whatever its constructor
+        # takes, and the one-line message names the member's seed
+        def failing(*args, **kwargs):
+            raise make()
+
+        def train_two_members(run, out):
+            windows = tr.make_windows(np.arange(40.0), 16, 4)
+            ens.train_ensemble(run.model, windows, windows, run.train,
+                               ens.EnsembleConfig(size=2, base_seed=9))
+
+        monkeypatch.setattr(tr, "train", failing)
+        with pytest.raises(Exception) as info:
+            train_two_members(cfgmod.load_run_config(tiny_config), tmp_path)
+        assert type(info.value) is type(make())
+        assert str(info.value) == str(make())
+        monkeypatch.setattr(cli, "cmd_train", train_two_members)
+        assert cli.main(["train", "--config", str(tiny_config),
+                         "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.endswith(f"{make()}; in ensemble member with seed 9\n")
+        assert err.count("\n") == 1, err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_runtime_error_is_three(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavestack import model as md
 from wavestack import training as tr
@@ -7,6 +8,7 @@ from wavestack.autodiff import Tape
 from wavestack.errors import (
     ConfigMismatch,
     NonFiniteGradient,
+    NonFiniteLoss,
     SeriesTooShort,
     ShapeMismatch,
 )
@@ -248,23 +250,99 @@ class TestWindowSetForecast:
                        wavelet_kind=kind)
         windows = _toy_windows(n=40, lookback=16, horizon=3)
         params = md.init_params(cfg)
+        per_window = np.stack(_per_window_forecasts(windows, params, cfg))
+        # a one-row set runs the single-window arithmetic: bit for bit
+        for x, expected in zip(windows.inputs[:5], per_window):
+            np.testing.assert_array_equal(
+                tr.forecast([x], params, cfg), expected[None])
+        # a batch sums its matrix products in another order than one
+        # window does, so the whole set agrees to rounding only
         pred = tr.forecast(windows.inputs, params, cfg)
         assert pred.shape == (len(windows), 3)
-        np.testing.assert_array_equal(
-            pred, np.stack(_per_window_forecasts(windows, params, cfg)))
+        np.testing.assert_allclose(pred, per_window, rtol=1e-12, atol=0)
 
     def test_evaluate_is_mean_of_window_scores(self):
         cfg = tiny_cfg(n_stacks=3, lookback=16, horizon=3,
                        wavelet_kind="db2")
         windows = _toy_windows(n=60, lookback=16, horizon=3)
         params = md.init_params(cfg)
-        forecasts = _per_window_forecasts(windows, params, cfg)
+        forecasts = tr.forecast(windows.inputs, params, cfg)
         assert tr.evaluate(windows, params, cfg) == {
             "mse": float(np.mean([tr.mse(f, y) for f, y in
                                   zip(forecasts, windows.targets)])),
             "mae": float(np.mean([tr.mae(f, y) for f, y in
                                   zip(forecasts, windows.targets)])),
         }
+
+
+def _per_window_grads(batch, windows, params, cfg, rng):
+    """The reference for `_batch_grads`: one tape per window, the batch's
+    mean loss and gradients accumulated window by window."""
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    total = 0.0
+    for j in batch:
+        tape = Tape()
+        loss, leaves = md.forward_loss(
+            windows.inputs[j], windows.targets[j], params, cfg, tape,
+            rng=rng, training=True)
+        tape.backward(loss)
+        total += float(loss.value) / len(batch)
+        for name in grads:
+            grads[name] += leaves[name].grad / len(batch)
+    return total, grads
+
+
+def _batch_cfg(kind, variant, dropout):
+    return tiny_cfg(n_stacks=3, blocks_per_stack=2, lookback=32, horizon=4,
+                    hidden_depth=2, hidden_width=6, conv_variant=variant,
+                    kernel_sizes=(3, 3, 2), wavelet_kind=kind,
+                    dropout_rate=dropout)
+
+
+class TestBatchGrads:
+    """One tape per minibatch against one tape per window."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["haar", "db2", "sym4"]),
+           variant=st.sampled_from(["dcn", "cnn", "maxpool", "avgpool",
+                                    "none"]),
+           dropout=st.sampled_from([0.0, 0.1]),
+           size=st.sampled_from([1, 32]) | st.integers(1, 15).map(
+               lambda n: 2 * n + 1),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_window_loop(self, kind, variant, dropout, size,
+                                     seed):
+        cfg = _batch_cfg(kind, variant, dropout)
+        windows = _toy_windows(n=80, lookback=32, horizon=4, seed=seed % 7)
+        params = md.init_params(cfg, seed=seed % 5)
+        batch = np.random.default_rng(seed).permutation(len(windows))[:size]
+        loss, grads = tr._batch_grads(batch, windows, params, cfg,
+                                      np.random.default_rng(seed))
+        ref_loss, ref_grads = _per_window_grads(
+            batch, windows, params, cfg, np.random.default_rng(seed))
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            scale = float(np.max(np.abs(ref)))
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * scale, name
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_non_finite_loss_names_first_bad_window(self, data):
+        windows = _toy_windows(n=40, lookback=8, horizon=2)
+        n = len(windows)
+        batch = data.draw(st.permutations(range(n)))[
+            :data.draw(st.integers(1, n))]
+        bad = data.draw(st.sets(st.sampled_from(batch), min_size=1))
+        targets = [np.full(2, np.nan) if j in bad else y
+                   for j, y in enumerate(windows.targets)]
+        poisoned = tr.WindowSet(windows.inputs, targets, windows.offsets)
+        first = next(j for j in batch if j in bad)
+        with pytest.raises(NonFiniteLoss,
+                           match=f"window index {first}$"):
+            tr._batch_grads(np.array(batch), poisoned,
+                            md.init_params(tiny_cfg()), tiny_cfg(),
+                            np.random.default_rng(0))
 
 
 class TestCheckpoint:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavestack import wavelet as wv
 from wavestack.errors import NonFiniteInput, ResolutionTooFine, SeriesTooShort
@@ -137,6 +138,24 @@ class TestMdwd:
         pyramid = wv.mdwd(x, 3, "db2")
         recon = pyramid.approx[-1] + sum(pyramid.detail)
         assert np.max(np.abs(recon - x)) < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(KINDS), levels=st.integers(1, 3),
+           extra=st.integers(0, 40), rows=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_batch_rows_equal_single_calls(self, kind, levels, extra, rows,
+                                           seed):
+        # odd and even lengths: an odd level input is padded per row
+        x = np.random.default_rng(seed).normal(
+            size=(rows, 2 ** levels + extra))
+        batch = wv.mdwd(x, levels, kind)
+        for r in range(rows):
+            single = wv.mdwd(x[r], levels, kind)
+            for got, want in zip(batch.approx + batch.detail + batch.raw_low
+                                 + batch.raw_high,
+                                 single.approx + single.detail
+                                 + single.raw_low + single.raw_high):
+                np.testing.assert_array_equal(got[r], want)
 
 
 class TestReconstructBranch:
