@@ -258,7 +258,8 @@ class TestExitCodes:
         pytest.param(("decompose.levels = 0",), id="levels_0"),
         pytest.param(('decompose.kind = "foo"',), id="kind_unknown"),
         pytest.param(("train.learning_rate = NaN",), id="nan"),
-        pytest.param(("ablate.alpha_grid = [0.4, 1.5]",), id="alpha_grid_1.5"),
+        pytest.param(("ablate.alpha_grid = [0.4, 1.5]",),
+                     id="alpha_grid_above_1"),
         pytest.param(("ablate.alpha_grid = [-0.1]",), id="alpha_grid_neg"),
         pytest.param(("ablate.stacks_grid = [2, 0]",), id="stacks_grid_0"),
         pytest.param(("ablate.ensemble_grid = [0]",), id="ensemble_grid_0"),
@@ -318,9 +319,8 @@ class TestExitCodes:
         "NonFiniteInput": 3, "ResolutionTooFine": 3, "ShapeMismatch": 3,
         "InputTooShort": 3, "NonFiniteGradient": 3, "NonFiniteLoss": 3,
         "MissingColumn": 2, "MalformedCsv": 2, "NonNumericCell": 2,
-        "EmptySeries": 2,
-        "PartitionTooShort": 2, "ZeroVariance": 2, "ConfigError": 2,
-        "ConfigMismatch": 2, "CorruptCheckpoint": 2,
+        "EmptySeries": 2, "PartitionTooShort": 2, "ZeroVariance": 2,
+        "ConfigError": 2, "ConfigMismatch": 2, "CorruptCheckpoint": 2,
     }
 
     def test_exit_code_table_covers_errors_module(self):
