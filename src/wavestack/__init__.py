@@ -1,7 +1,7 @@
 """Wavelet-infused doubly-residual time-series forecasting."""
 
 from . import autodiff, config, dataio, ensemble, model, training, wavelet
-from .autodiff import InferenceTape, Tape, Tensor
+from .autodiff import Tape, Tensor
 from .dataio import (
     Component,
     Dataset,
@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Branch", "Component", "Dataset", "EnsembleConfig", "EnsembleForecast",
     "FilterKind", "FilterPair", "ForecastBundle", "HaarProjection",
-    "InferenceTape", "ModelConfig", "Scaler", "SyntheticSpec", "Tape",
-    "Tensor", "TrainConfig", "TrainResult", "WaveletPyramid", "WindowSet",
+    "ModelConfig", "Scaler", "SyntheticSpec", "Tape", "Tensor",
+    "TrainConfig", "TrainResult", "WaveletPyramid", "WindowSet",
     "autodiff", "config", "dataio", "ensemble", "filter_bank",
     "make_windows", "mdwd", "model", "model_forward",
     "multi_frequency_benchmark", "synthesize",
