@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
@@ -59,11 +59,56 @@ class TrainConfig:
             raise ValueError("only MSE training loss is supported")
 
 
+# The most elements one parameter bucket holds.  The benchmark model fits
+# in one bucket; the paper model's 10.2M parameters take dozens.  One
+# buffer per model would be mapped, and page-faulted, afresh on every
+# `train` call, where malloc recycles buckets of this size.
+BUCKET_ELEMENTS = 1 << 17
+
+
+class Buckets:
+    """A layout of named tensors in contiguous float64 buffers.  Tensors
+    keep their dict order; consecutive ones share a bucket of at most
+    BUCKET_ELEMENTS elements, and a larger tensor has a bucket of its
+    own.  `slots[b]` lists bucket b's (name, slice, shape)."""
+
+    def __init__(self, tensors: dict):
+        self.slots, self.sizes = [], []
+        for name, value in tensors.items():
+            if not self.sizes or \
+                    self.sizes[-1] + value.size > BUCKET_ELEMENTS:
+                self.slots.append([])
+                self.sizes.append(0)
+            start = self.sizes[-1]
+            self.sizes[-1] += value.size
+            self.slots[-1].append(
+                (name, slice(start, self.sizes[-1]), value.shape))
+
+    def new(self, fill=np.empty) -> list:
+        return [fill(size) for size in self.sizes]
+
+    def views(self, buffers: list) -> dict:
+        """Every tensor as a view into `buffers`, in layout order."""
+        return {name: buf[where].reshape(shape)
+                for buf, slots in zip(buffers, self.slots)
+                for name, where, shape in slots}
+
+    def gather(self, tensors: dict, buffers: list) -> None:
+        """Copy `tensors` into `buffers`, popping each from the dict as
+        its bucket is filled, so that the memory it alone holds is freed
+        as the buckets fill."""
+        for buf, slots in zip(buffers, self.slots):
+            np.concatenate([tensors.pop(name).reshape(-1)
+                            for name, _, _ in slots], out=buf)
+
+
 @dataclass
 class TrainState:
+    buckets: Buckets
+    m: list  # Adam's moments, one buffer per bucket
+    v: list
+    scratch: tuple  # two buffers of the largest bucket's size
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
     lr: float = 0.0
     best_val: float = np.inf
     best_params: Optional[dict] = None
@@ -124,40 +169,53 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.learning_rate * max(0.0, 1.0 - cfg.decay_slope * since)
 
 
-def init_train_state(params: dict) -> TrainState:
-    state = TrainState()
-    state.m = {k: np.zeros_like(v) for k, v in params.items()}
-    state.v = {k: np.zeros_like(v) for k, v in params.items()}
-    return state
+def init_train_state(buckets: Buckets) -> TrainState:
+    largest = max(buckets.sizes)
+    return TrainState(buckets=buckets, m=buckets.new(np.zeros),
+                      v=buckets.new(np.zeros),
+                      scratch=(np.empty(largest), np.empty(largest)))
 
 
-def adam_step(state: TrainState, params: dict, grads: dict, lr: float,
+def adam_step(state: TrainState, params: list, grads: list, lr: float,
               cfg: TrainConfig) -> None:
-    """In-place bias-corrected Adam update."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+    """In-place bias-corrected Adam update of the parameter buckets.
+    Each bucket takes the per-tensor expressions `m = b1*m + (1-b1)*g`,
+    `v = b2*v + (1-b2)*g*g` and `p -= lr*m_hat / (sqrt(v_hat) + eps)`
+    one operation at a time, in their order, so the result is the same
+    bits a per-tensor update gives."""
+    for g, slots in zip(grads, state.buckets.slots):
+        if not np.isfinite(g).all():
+            name = next(name for name, where, _ in slots
+                        if not np.isfinite(g[where]).all())
             raise NonFiniteGradient(
                 f"non-finite gradient in parameter {name!r} at step "
                 f"{state.step}")
     state.step += 1
     t = state.step
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    for name, p in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / (1.0 - b1 ** t)
-        v_hat = state.v[name] / (1.0 - b2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        s1, s2 = (s[:g.size] for s in state.scratch)
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=s1)
+        v *= b2
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=s1), g, out=s1)
+        np.multiply(np.divide(m, c1, out=s1), lr, out=s1)  # lr * m_hat
+        np.sqrt(np.divide(v, c2, out=s2), out=s2)  # sqrt(v_hat)
+        s2 += cfg.adam_eps
+        p -= np.divide(s1, s2, out=s1)
     state.lr = lr
 
 
-def _clip_grads(grads: dict, max_norm: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def _clip_grads(grads: list, max_norm: float) -> float:
+    """Scale the gradient buckets in place to a global norm of at most
+    `max_norm`; returns the norm before clipping."""
+    total = np.sqrt(sum(float(g @ g) for g in grads))
     if total > max_norm:
         factor = max_norm / total
-        for name in grads:
-            grads[name] = grads[name] * factor
+        for g in grads:
+            g *= factor
+    return total
 
 
 def _batch_grads(batch_idx, windows, params, model_cfg, rng):
@@ -213,12 +271,20 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
           val_windows: WindowSet, cfg: TrainConfig,
           init: Optional[dict] = None) -> TrainResult:
     """Full training loop; returns the checkpoint with the lowest
-    validation loss."""
+    validation loss.  Parameters, gradients and Adam's moments live in
+    one `Buckets` layout, and the model reads the parameters as views
+    into their buckets.  `init` is copied, never written."""
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ValueError("train and validation window sets must be nonempty")
-    params = {k: v.copy() for k, v in
-              (init or md.init_params(model_cfg)).items()}
-    state = init_train_state(params)
+    init = init or md.init_params(model_cfg)
+    buckets = Buckets(init)
+    weights, grads = buckets.new(), buckets.new()
+    buckets.gather(dict(init), weights)  # pops from a copy: `init` stays
+    params = buckets.views(weights)
+    frozen = [(b, where) for b, slots in enumerate(buckets.slots)
+              for name, where, _ in slots
+              if model_cfg.freeze_conv and ".conv" in name]
+    state = init_train_state(buckets)
     rng = np.random.default_rng(cfg.seed)
     batch_size = min(cfg.batch_size, len(train_windows))
     history = []
@@ -231,22 +297,21 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
         epoch_losses = []
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
-            loss, grads = _batch_grads(
+            loss, leaf_grads = _batch_grads(
                 batch, train_windows, params, model_cfg, rng)
-            if model_cfg.freeze_conv:
-                for name in grads:
-                    if ".conv" in name:
-                        grads[name] = np.zeros_like(grads[name])
+            buckets.gather(leaf_grads, grads)
+            for b, where in frozen:
+                grads[b][where] = 0.0
             if cfg.grad_clip is not None:
                 _clip_grads(grads, cfg.grad_clip)
-            adam_step(state, params, grads, lr, cfg)
+            adam_step(state, weights, grads, lr, cfg)
             epoch_losses.append(loss)
         train_loss = float(np.mean(epoch_losses))
         val_loss = evaluate(val_windows, params, model_cfg)["mse"]
         history.append((epoch, lr, train_loss, val_loss))
         if val_loss < state.best_val:
             state.best_val = val_loss
-            state.best_params = {k: v.copy() for k, v in params.items()}
+            state.best_params = buckets.views([w.copy() for w in weights])
             state.best_epoch = epoch
             state.epochs_since_improvement = 0
         else:

@@ -118,47 +118,187 @@ class TestSchedule:
             tr.TrainConfig(patience=0)
 
 
+def _bucketed(params):
+    """A copy of `params` in a fresh bucket layout: (buckets, parameter
+    buffers, their views by name, train state)."""
+    buckets = tr.Buckets(params)
+    weights = buckets.new()
+    buckets.gather(dict(params), weights)
+    return buckets, weights, buckets.views(weights), \
+        tr.init_train_state(buckets)
+
+
+def _gathered(buckets, grads):
+    out = buckets.new()
+    buckets.gather(dict(grads), out)
+    return out
+
+
+def _per_tensor_adam(params, grads, m, v, t, lr, cfg):
+    """The reference Adam step: one tensor at a time, as plain
+    expressions."""
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        m_hat = m[name] / (1.0 - b1 ** t)
+        v_hat = v[name] / (1.0 - b2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+
+
+def _random_tensors(shapes, rng, scale=1.0):
+    return {f"t{i}": scale * rng.normal(size=shape)
+            for i, shape in enumerate(shapes)}
+
+
+_tiny_shapes = st.lists(st.lists(st.integers(1, 6), min_size=1,
+                                 max_size=2).map(tuple),
+                        min_size=1, max_size=40)
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         cfg = tr.TrainConfig()
-        params = {"w": np.array([1.0, 1.0, 1.0])}
-        grads = {"w": np.array([0.3, -2.0, 0.0])}
-        state = tr.init_train_state(params)
-        tr.adam_step(state, params, grads, 0.01, cfg)
+        buckets, weights, params, state = _bucketed(
+            {"w": np.array([1.0, 1.0, 1.0])})
+        grads = _gathered(buckets, {"w": np.array([0.3, -2.0, 0.0])})
+        tr.adam_step(state, weights, grads, 0.01, cfg)
         # after bias correction the first update is lr * sign(g), up to eps
         np.testing.assert_allclose(params["w"],
                                    [1.0 - 0.01, 1.0 + 0.01, 1.0], atol=1e-6)
 
     def test_zero_gradient_no_motion(self):
         cfg = tr.TrainConfig()
-        params = {"w": np.array([2.0])}
-        state = tr.init_train_state(params)
+        buckets, weights, params, state = _bucketed({"w": np.array([2.0])})
         for _ in range(5):
-            tr.adam_step(state, params, {"w": np.zeros(1)}, 0.1, cfg)
+            tr.adam_step(state, weights,
+                         _gathered(buckets, {"w": np.zeros(1)}), 0.1, cfg)
         np.testing.assert_array_equal(params["w"], [2.0])
 
     def test_converges_on_quadratic(self):
         cfg = tr.TrainConfig()
-        params = {"w": np.array([5.0])}
-        state = tr.init_train_state(params)
+        buckets, weights, params, state = _bucketed({"w": np.array([5.0])})
         for _ in range(2000):
-            tr.adam_step(state, params, {"w": 2.0 * params["w"]}, 0.05, cfg)
+            tr.adam_step(state, weights,
+                         _gathered(buckets, {"w": 2.0 * params["w"]}),
+                         0.05, cfg)
         assert abs(params["w"][0]) < 1e-3
 
     def test_non_finite_gradient_raises(self):
         cfg = tr.TrainConfig()
-        params = {"w": np.array([1.0])}
-        state = tr.init_train_state(params)
+        buckets, weights, _, state = _bucketed({"w": np.array([1.0])})
         with pytest.raises(NonFiniteGradient):
-            tr.adam_step(state, params, {"w": np.array([np.nan])}, 0.1, cfg)
+            tr.adam_step(state, weights,
+                         _gathered(buckets, {"w": np.array([np.nan])}),
+                         0.1, cfg)
 
     def test_grad_clip(self):
-        grads = {"a": np.array([3.0, 4.0])}  # norm 5
+        grads = [np.array([3.0, 4.0])]  # norm 5
         tr._clip_grads(grads, 1.0)
-        np.testing.assert_allclose(grads["a"], [0.6, 0.8])
-        grads = {"a": np.array([0.3, 0.4])}
+        np.testing.assert_allclose(grads[0], [0.6, 0.8])
+        grads = [np.array([0.3, 0.4])]
         tr._clip_grads(grads, 1.0)
-        np.testing.assert_allclose(grads["a"], [0.3, 0.4])
+        np.testing.assert_allclose(grads[0], [0.3, 0.4])
+
+    @settings(max_examples=40, deadline=None)
+    @given(shapes=_tiny_shapes, big_at=st.integers(0, 40),
+           with_big=st.booleans(), steps=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_tensor_adam(self, shapes, big_at, with_big, steps,
+                                     seed):
+        """Bucketed Adam gives the per-tensor update's bits, over many
+        tiny tensors and one larger than a bucket."""
+        if with_big:
+            shapes.insert(min(big_at, len(shapes)),
+                          (tr.BUCKET_ELEMENTS + 1 + big_at,))
+        rng = np.random.default_rng(seed)
+        cfg = tr.TrainConfig()
+        init = _random_tensors(shapes, rng)
+        buckets, weights, params, state = _bucketed(init)
+        ref = {k: v.copy() for k, v in init.items()}
+        m = {k: np.zeros_like(v) for k, v in init.items()}
+        v = {k: np.zeros_like(x) for k, x in init.items()}
+        if with_big:
+            assert len(buckets.sizes) > 1
+        assert max(buckets.sizes) <= tr.BUCKET_ELEMENTS or with_big
+        for t in range(1, steps + 1):
+            grads = _random_tensors(shapes, rng, scale=10.0 ** rng.uniform(
+                -6, 3))
+            lr = float(rng.uniform(1e-5, 1e-1))
+            tr.adam_step(state, weights, _gathered(buckets, grads), lr, cfg)
+            _per_tensor_adam(ref, grads, m, v, t, lr, cfg)
+            for name in ref:
+                np.testing.assert_array_equal(params[name], ref[name], name)
+        assert state.step == steps
+
+    def test_each_tensor_larger_than_a_bucket_is_alone(self):
+        big = tr.BUCKET_ELEMENTS + 1
+        buckets = tr.Buckets({"a": np.zeros(3), "b": np.zeros(big),
+                              "c": np.zeros((2, 5)), "d": np.zeros(big),
+                              "e": np.zeros(4)})
+        assert [[name for name, _, _ in slots] for slots in buckets.slots] \
+            == [["a"], ["b"], ["c"], ["d"], ["e"]]
+        assert buckets.sizes == [3, big, 10, big, 4]
+
+    @pytest.mark.parametrize("bad", [("c",), ("d",), ("c", "d"), ("d", "e")])
+    def test_non_finite_in_last_bucket_names_first_bad_parameter(self, bad):
+        cfg = tr.TrainConfig()
+        rng = np.random.default_rng(0)
+        shapes = [(3,), (tr.BUCKET_ELEMENTS + 1,), (2, 3), (4,), (5,)]
+        init = dict(zip("abcde", _random_tensors(shapes, rng).values()))
+        buckets, weights, params, state = _bucketed(init)
+        assert [name for name, _, _ in buckets.slots[-1]] == ["c", "d", "e"]
+        for _ in range(2):
+            tr.adam_step(state, weights, _gathered(
+                buckets, {k: rng.normal(size=x.shape)
+                          for k, x in init.items()}), 0.01, cfg)
+        before = {k: x.copy() for k, x in params.items()}
+        grads = {k: rng.normal(size=x.shape) for k, x in init.items()}
+        for k, poison in zip(bad, (np.nan, np.inf)):
+            grads[k][-1] = poison
+        # the parent's per-tensor check named the first bad tensor in
+        # parameter order and the number of steps already taken
+        with pytest.raises(NonFiniteGradient,
+                           match=f"^non-finite gradient in parameter "
+                                 f"'{bad[0]}' at step 2$"):
+            tr.adam_step(state, weights, _gathered(buckets, grads), 0.01,
+                         cfg)
+        assert state.step == 2
+        for k, x in params.items():
+            np.testing.assert_array_equal(x, before[k])
+
+    @settings(max_examples=30, deadline=None)
+    @given(shapes=_tiny_shapes, seed=st.integers(0, 2 ** 32 - 1))
+    def test_clip_norm_is_per_tensor_norm(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        shapes.append((tr.BUCKET_ELEMENTS + 1,))
+        grads = _random_tensors(shapes, rng)
+        buckets = tr.Buckets(grads)
+        per_tensor = np.sqrt(sum(float(np.sum(g * g))
+                                 for g in grads.values()))
+        gathered = _gathered(buckets, grads)
+        norm = tr._clip_grads(gathered, np.inf)
+        assert norm == pytest.approx(per_tensor, rel=1e-12, abs=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shapes=_tiny_shapes, seed=st.integers(0, 2 ** 32 - 1))
+    def test_clip_fires_only_above_the_bound(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        grads = _random_tensors(shapes, rng)
+        buckets = tr.Buckets(grads)
+        original = _gathered(buckets, grads)
+        norm = tr._clip_grads([g.copy() for g in original], np.inf)
+        kept = [g.copy() for g in original]
+        assert tr._clip_grads(kept, norm * (1.0 + 1e-9)) == norm
+        for a, b in zip(kept, original):
+            np.testing.assert_array_equal(a, b)
+        clipped = [g.copy() for g in original]
+        tr._clip_grads(clipped, norm / 2.0)
+        for a, b in zip(clipped, original):
+            np.testing.assert_array_equal(a, b * ((norm / 2.0) / norm))
+        assert tr._clip_grads(clipped, np.inf) == \
+            pytest.approx(norm / 2.0, rel=1e-12)
 
 
 def _toy_windows(n=40, lookback=8, horizon=2, seed=0):
@@ -228,6 +368,65 @@ class TestTrainLoop:
                 np.testing.assert_array_equal(result.params[name], init[name])
         assert not np.array_equal(result.params["s1.b1.trunk0.W"],
                                   init["s1.b1.trunk0.W"])
+
+    # at learning rate 0.3 the first epoch is the best, so the returned
+    # parameters are a copy from before the last step
+    @pytest.mark.parametrize("lr", [1e-2, 0.3])
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_matches_per_tensor_reference_loop(self, freeze, lr):
+        """`train` gives the bits of a plain loop over `_batch_grads` and
+        a per-tensor Adam, writes nothing into `init`, and returns
+        parameters that a later `train` call does not write."""
+        cfg = tiny_cfg(lookback=16, conv_variant="dcn", kernel_sizes=(3, 3),
+                       dropout_rate=0.1, freeze_conv=freeze)
+        train_w = _toy_windows(n=40, lookback=16)
+        val_w = _toy_windows(n=24, lookback=16, seed=1)
+        tcfg = tr.TrainConfig(learning_rate=lr, epochs=3, batch_size=8,
+                              grad_clip=None, seed=3)
+        init = md.init_params(cfg, seed=2)
+        init_copy = {k: v.copy() for k, v in init.items()}
+        init_ids = {k: id(v) for k, v in init.items()}
+        result = tr.train(cfg, train_w, val_w, tcfg, init=init)
+        assert {k: id(v) for k, v in init.items()} == init_ids
+        for name, value in init_copy.items():
+            np.testing.assert_array_equal(init[name], value)
+
+        params = {k: v.copy() for k, v in init.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v = {k: np.zeros_like(x) for k, x in params.items()}
+        rng = np.random.default_rng(tcfg.seed)
+        history, best, best_val, step = [], None, np.inf, 0
+        for epoch in range(tcfg.epochs):
+            lr = tr.lr_at(epoch, tcfg)
+            order = np.arange(len(train_w))
+            rng.shuffle(order)
+            losses = []
+            for start in range(0, len(order), tcfg.batch_size):
+                loss, grads = tr._batch_grads(
+                    order[start:start + tcfg.batch_size], train_w, params,
+                    cfg, rng)
+                if freeze:
+                    grads = {k: np.zeros_like(g) if ".conv" in k else g
+                             for k, g in grads.items()}
+                step += 1
+                _per_tensor_adam(params, grads, m, v, step, lr, tcfg)
+                losses.append(loss)
+            val = tr.evaluate(val_w, params, cfg)["mse"]
+            history.append((epoch, lr, float(np.mean(losses)), val))
+            if val < best_val:
+                best_val, best = val, {k: x.copy() for k, x in params.items()}
+
+        assert result.history == history
+        assert list(result.params) == list(best)
+        for name, value in best.items():
+            np.testing.assert_array_equal(result.params[name], value, name)
+            if freeze and ".conv" in name:
+                np.testing.assert_array_equal(value, init[name])
+
+        kept = {k: x.copy() for k, x in result.params.items()}
+        tr.train(cfg, train_w, val_w, tcfg, init=result.params)
+        for name, value in kept.items():
+            np.testing.assert_array_equal(result.params[name], value, name)
 
     def test_empty_windows_rejected(self):
         windows = _toy_windows()
