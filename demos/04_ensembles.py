@@ -36,16 +36,10 @@ ecfg = EnsembleConfig(size=5, aggregation="median", base_seed=0)
 members = ens.train_ensemble(cfg, wtr, wva, tcfg, ecfg)
 print("member seeds:", [seed for seed, _ in members])
 
-member_mse = {seed: [] for seed, _ in members}
-agg_mse = []
-for x, y in zip(wte.inputs, wte.targets):
-    ef = ens.ensemble_forecast(x, members, cfg, method="median")
-    agg_mse.append(tr.mse(ef.aggregated, y))
-    for (seed, _), f in zip(members, ef.member_forecasts):
-        member_mse[seed].append(tr.mse(f, y))
-
-per_member = {seed: float(np.mean(v)) for seed, v in member_mse.items()}
-for seed, m in per_member.items():
-    print(f"member seed {seed:5d}: test mse {m:.4f}")
-print(f"median member mse: {np.median(list(per_member.values())):.4f}")
-print(f"ensemble mse:      {np.mean(agg_mse):.4f}")
+member_fc = [tr.forecast(wte.inputs, r.params, cfg) for _, r in members]
+for (seed, _), fc in zip(members, member_fc):
+    print(f"member seed {seed:5d}: test mse {tr.mse(fc, wte.targets):.4f}")
+median_member = np.median([tr.mse(fc, wte.targets) for fc in member_fc])
+print(f"median member mse: {median_member:.4f}")
+aggregated = ens.aggregate(member_fc, ecfg.aggregation)
+print(f"ensemble mse:      {tr.mse(aggregated, wte.targets):.4f}")

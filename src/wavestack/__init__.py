@@ -10,11 +10,10 @@ from .dataio import (
     multi_frequency_benchmark,
     synthesize,
 )
-from .ensemble import EnsembleConfig, EnsembleForecast
+from .ensemble import EnsembleConfig
 from .model import ForecastBundle, ModelConfig, model_forward
 from .training import TrainConfig, TrainResult, WindowSet, make_windows, train
 from .wavelet import (
-    Branch,
     FilterKind,
     FilterPair,
     HaarProjection,
@@ -26,10 +25,10 @@ from .wavelet import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch", "Component", "Dataset", "EnsembleConfig", "EnsembleForecast",
-    "FilterKind", "FilterPair", "ForecastBundle", "HaarProjection",
-    "ModelConfig", "Scaler", "SyntheticSpec", "Tape", "Tensor",
-    "TrainConfig", "TrainResult", "WaveletPyramid", "WindowSet",
+    "Component", "Dataset", "EnsembleConfig", "FilterKind", "FilterPair",
+    "ForecastBundle", "HaarProjection", "ModelConfig", "Scaler",
+    "SyntheticSpec", "Tape", "Tensor", "TrainConfig", "TrainResult",
+    "WaveletPyramid", "WindowSet",
     "autodiff", "config", "dataio", "ensemble", "filter_bank",
     "make_windows", "mdwd", "model", "model_forward",
     "multi_frequency_benchmark", "synthesize",

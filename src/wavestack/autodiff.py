@@ -29,10 +29,6 @@ class Tensor:
         self.grad = None
         self.parents = parents
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 class Tape:
     """Append-only operation record; topological order is append order."""
@@ -101,17 +97,14 @@ def relu(x: Tensor, tape: Tape) -> Tensor:
                        ((x, lambda g, m=mask: g * m),))
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator,
-            tape: Tape, training: bool, draws=None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity at
-    inference or rate 0.  `draws`, uniform on [0, 1) in x's shape, are
-    used in place of a fresh draw from `rng` when given."""
+def dropout(x: Tensor, rate: float, draws: np.ndarray, tape: Tape) -> Tensor:
+    """Inverted dropout with `draws`, uniform on [0, 1) in x's shape: an
+    element survives where its draw is at least `rate` and is scaled by
+    1/(1-rate).  Identity at rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
-    if draws is None:
-        draws = rng.random(x.value.shape)
     scale_arr = (draws >= rate) / (1.0 - rate)
     return tape.tensor(x.value * scale_arr,
                        ((x, lambda g, s=scale_arr: g * s),))

@@ -4,7 +4,7 @@ synthetic benchmark generation."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ class Dataset:
     train_range: tuple  # [start, stop)
     val_range: tuple
     test_range: tuple
-    scaler: Optional[Scaler] = None
 
     @property
     def train(self):
@@ -114,8 +113,7 @@ def standardize(dataset: Dataset) -> tuple:
     scaled = Dataset(raw=(dataset.raw - mean) / std,
                      train_range=dataset.train_range,
                      val_range=dataset.val_range,
-                     test_range=dataset.test_range,
-                     scaler=scaler)
+                     test_range=dataset.test_range)
     return scaled, scaler
 
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import model as md
 from . import training as tr
-from .autodiff import InferenceTape
 from .errors import ShapeMismatch
 
 AGGREGATIONS = ("median", "mean")
@@ -30,12 +29,6 @@ class EnsembleConfig:
 
     def member_seeds(self):
         return [self.base_seed + 1000 * i for i in range(self.size)]
-
-
-@dataclass(frozen=True)
-class EnsembleForecast:
-    member_forecasts: list
-    aggregated: np.ndarray
 
 
 def bootstrap_windows(windows: tr.WindowSet,
@@ -87,13 +80,3 @@ def aggregate(member_forecasts, method: str = "median") -> np.ndarray:
     if method == "median":
         return np.median(stacked, axis=0)
     return np.mean(stacked, axis=0)
-
-
-def ensemble_forecast(x, members, model_cfg: md.ModelConfig,
-                      method: str = "median") -> EnsembleForecast:
-    """Run every member on one input window and aggregate."""
-    forecasts = [md.model_forward(x, result.params, model_cfg,
-                                  InferenceTape()).global_forecast
-                 for _, result in members]
-    return EnsembleForecast(member_forecasts=forecasts,
-                            aggregated=aggregate(forecasts, method))

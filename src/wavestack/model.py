@@ -190,8 +190,8 @@ def block_forward(x_block_in: Tensor, i: int, k: int, cfg: ModelConfig,
                       leaves[f"{prefix}.trunk{d}.b"], tape)
         h = ad.relu(h, tape)
         if draws is not None:
-            h = ad.dropout(h, cfg.dropout_rate, None, tape, True,
-                           draws=draws[..., layer + d, :])
+            h = ad.dropout(h, cfg.dropout_rate, draws[..., layer + d, :],
+                           tape)
     theta_b = ad.affine(h, leaves[f"{prefix}.head_b.W"],
                         leaves[f"{prefix}.head_b.b"], tape)
     theta_f = ad.affine(h, leaves[f"{prefix}.head_f.W"],
@@ -227,18 +227,17 @@ def make_leaves(params: dict, tape: Tape) -> dict:
 
 
 def _forward(x, cfg: ModelConfig, leaves: dict, tape: Tape,
-             rng: Optional[np.random.Generator] = None,
-             training: bool = False) -> ForecastBundle:
+             rng: Optional[np.random.Generator] = None) -> ForecastBundle:
     """The forward pass of one window [T] or a batch [B, T]: check the
     input, decompose it once, then run blend -> conv -> blocks over every
     stack.  Stack 1 blends the coarsest approximation into the raw window;
     each later stack blends the next finer detail branch into the residual
     the previous stack left.
 
-    In training with dropout, every dropout draw of the pass is taken
-    from `rng` at once, window by window and in layer order within a
-    window, so a batch consumes the stream exactly as its windows would
-    one after another."""
+    Dropout runs exactly when an `rng` is given: every draw of the pass
+    is taken from it at once, window by window and in layer order within
+    a window, so a batch consumes the stream exactly as its windows would
+    one after another.  At rate 0 nothing is drawn."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != cfg.lookback:
         raise ShapeMismatch(
@@ -247,7 +246,7 @@ def _forward(x, cfg: ModelConfig, leaves: dict, tape: Tape,
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("model input contains NaN or Inf")
     draws = None
-    if training and cfg.dropout_rate > 0.0:
+    if rng is not None and cfg.dropout_rate > 0.0:
         layers = cfg.n_stacks * cfg.blocks_per_stack * cfg.hidden_depth
         draws = rng.random(x.shape[:-1] + (layers, cfg.hidden_width))
     branches = [None]  # one stack: alpha is 0, nothing to blend
@@ -281,19 +280,19 @@ def _forward(x, cfg: ModelConfig, leaves: dict, tape: Tape,
     )
 
 
-def model_forward(x, params: dict, cfg: ModelConfig, tape: Tape,
-                  rng: Optional[np.random.Generator] = None,
-                  training: bool = False) -> ForecastBundle:
-    """Forward pass of one window [T] or a batch [B, T] with `params` as
-    fresh tape leaves."""
-    return _forward(x, cfg, make_leaves(params, tape), tape, rng, training)
+def model_forward(x, params: dict, cfg: ModelConfig,
+                  tape: Tape) -> ForecastBundle:
+    """Forward pass, without dropout, of one window [T] or a batch [B, T]
+    with `params` as fresh tape leaves."""
+    return _forward(x, cfg, make_leaves(params, tape), tape)
 
 
 def forward_loss(x, target, params: dict, cfg: ModelConfig, tape: Tape,
-                 rng=None, training=False):
+                 rng: Optional[np.random.Generator] = None):
     """MSE loss of the global forecast against a horizon target [H], or
-    [B, H] for a batch (the mean of the per-window losses); returns (loss
-    tensor, leaves) so callers can read gradients after backward."""
+    [B, H] for a batch (the mean of the per-window losses), with dropout
+    drawn from `rng` when one is given; returns (loss tensor, leaves) so
+    callers can read gradients after backward."""
     leaves = make_leaves(params, tape)
-    bundle = _forward(x, cfg, leaves, tape, rng, training)
+    bundle = _forward(x, cfg, leaves, tape, rng)
     return ad.mse_loss(bundle.forecast_node, target, tape), leaves

@@ -109,11 +109,6 @@ class TrainState:
     v: list
     scratch: tuple  # two buffers of the largest bucket's size
     step: int = 0
-    lr: float = 0.0
-    best_val: float = np.inf
-    best_params: Optional[dict] = None
-    best_epoch: int = -1
-    epochs_since_improvement: int = 0
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,6 @@ def adam_step(state: TrainState, params: list, grads: list, lr: float,
         np.sqrt(np.divide(v, c2, out=s2), out=s2)  # sqrt(v_hat)
         s2 += cfg.adam_eps
         p -= np.divide(s1, s2, out=s1)
-    state.lr = lr
 
 
 def _clip_grads(grads: list, max_norm: float) -> float:
@@ -225,7 +219,7 @@ def _batch_grads(batch_idx, windows, params, model_cfg, rng):
     targets = np.stack([windows.targets[j] for j in batch_idx])
     tape = Tape()
     loss, leaves = md.forward_loss(inputs, targets, params, model_cfg,
-                                   tape, rng=rng, training=True)
+                                   tape, rng)
     if not np.isfinite(loss.value):
         (pred, _), = loss.parents  # the loss's one parent: the forecast
         bad = ~np.isfinite(np.mean((pred.value - targets) ** 2, axis=-1))
@@ -288,6 +282,7 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
     rng = np.random.default_rng(cfg.seed)
     batch_size = min(cfg.batch_size, len(train_windows))
     history = []
+    best_val, best_params, best_epoch, since_best = np.inf, None, -1, 0
     stopped_early = False
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
@@ -309,18 +304,16 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
         train_loss = float(np.mean(epoch_losses))
         val_loss = evaluate(val_windows, params, model_cfg)["mse"]
         history.append((epoch, lr, train_loss, val_loss))
-        if val_loss < state.best_val:
-            state.best_val = val_loss
-            state.best_params = buckets.views([w.copy() for w in weights])
-            state.best_epoch = epoch
-            state.epochs_since_improvement = 0
+        if val_loss < best_val:
+            best_val, best_epoch, since_best = val_loss, epoch, 0
+            best_params = buckets.views([w.copy() for w in weights])
         else:
-            state.epochs_since_improvement += 1
-            if state.epochs_since_improvement >= cfg.patience:
+            since_best += 1
+            if since_best >= cfg.patience:
                 stopped_early = True
                 break
-    return TrainResult(params=state.best_params, history=history,
-                       best_epoch=state.best_epoch, best_val=state.best_val,
+    return TrainResult(params=best_params, history=history,
+                       best_epoch=best_epoch, best_val=best_val,
                        stopped_early=stopped_early)
 
 

@@ -24,11 +24,6 @@ class FilterKind(str, Enum):
     SYM4 = "sym4"
 
 
-class Branch(str, Enum):
-    APPROX = "approx"
-    DETAIL = "detail"
-
-
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 
@@ -143,15 +138,11 @@ def _decompose_coeffs(x, n_levels, pair):
     return raw_low, raw_high, input_lengths
 
 
-def _reconstruct_from_level(coeffs, level, branch, pair, input_lengths):
-    """Invert from one branch at `level` down to level 0.  The
-    complementary branch is zero at every step, so each step applies only
-    the branch's own filter."""
-    raw_low, raw_high = coeffs
-    if branch is Branch.APPROX:
-        cur, filt = raw_low[level - 1], pair.low
-    else:
-        cur, filt = raw_high[level - 1], pair.high
+def _reconstruct_from_level(cur, level, filt, pair, input_lengths):
+    """Invert one branch's coefficients `cur` at `level` down to level 0,
+    with `filt` (that branch's filter) at the first step and the low-pass
+    filter after it.  The complementary branch is zero at every step, so
+    each step applies only one filter."""
     for lvl in range(level, 0, -1):
         n_in = input_lengths[lvl - 1]
         cur = _synthesis_step(cur, filt, n_in + n_in % 2)[..., :n_in]
@@ -164,7 +155,9 @@ def mdwd(x, n_levels: int,
     """Multilevel decimated decomposition with every branch reconstructed
     back to the original length.  `x` is one series [T] or a batch
     [..., T], decomposed along its last axis; each row of a batch gives
-    the same result as a call on that row alone."""
+    the same result as a call on that row alone.  Only the coarsest
+    approximation and the details are synthesised; each finer
+    approximation is the next coarser one plus that level's detail."""
     x = np.asarray(x, dtype=np.float64)
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
@@ -176,15 +169,15 @@ def mdwd(x, n_levels: int,
         raise NonFiniteInput("series contains NaN or Inf")
     pair = filter_bank(kind)
     raw_low, raw_high, input_lengths = _decompose_coeffs(x, n_levels, pair)
-    coeffs = (raw_low, raw_high)
-    approx = [
-        _reconstruct_from_level(coeffs, lvl, Branch.APPROX, pair, input_lengths)
-        for lvl in range(1, n_levels + 1)
-    ]
     detail = [
-        _reconstruct_from_level(coeffs, lvl, Branch.DETAIL, pair, input_lengths)
+        _reconstruct_from_level(raw_high[lvl - 1], lvl, pair.high, pair,
+                                input_lengths)
         for lvl in range(1, n_levels + 1)
     ]
+    approx = [_reconstruct_from_level(raw_low[-1], n_levels, pair.low, pair,
+                                      input_lengths)]
+    for lvl in range(n_levels - 1, 0, -1):
+        approx.insert(0, approx[0] + detail[lvl])
     return WaveletPyramid(
         levels=n_levels, original=x, approx=approx, detail=detail,
         raw_low=raw_low, raw_high=raw_high, kind=pair.kind)

@@ -221,18 +221,10 @@ class TestEnsembleDirectional:
             ecfg = ens.EnsembleConfig(size=5, aggregation="median",
                                       base_seed=10 * rep)
             members = ens.train_ensemble(cfg, wtr, wva, tcfg, ecfg)
-            agg = []
-            member_fc = {seed: [] for seed, _ in members}
-            for x in wte.inputs:
-                ef = ens.ensemble_forecast(x, members, cfg, method="median")
-                agg.append(ef.aggregated)
-                for (seed, _), f in zip(members, ef.member_forecasts):
-                    member_fc[seed].append(f)
-            ens_mse = np.mean([tr.mse(f, y) for f, y in
-                               zip(agg, wte.targets)])
-            member_mses = [
-                np.mean([tr.mse(f, y) for f, y in zip(fc, wte.targets)])
-                for fc in member_fc.values()]
+            member_fc = [tr.forecast(wte.inputs, r.params, cfg)
+                         for _, r in members]
+            ens_mse = tr.mse(ens.aggregate(member_fc, "median"), wte.targets)
+            member_mses = [tr.mse(fc, wte.targets) for fc in member_fc]
             wins += ens_mse <= np.median(member_mses)
         assert wins >= 7
 

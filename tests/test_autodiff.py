@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wavestack import autodiff as ad
+from wavestack import model as md
 from wavestack.autodiff import Tape
 from wavestack.errors import InputTooShort, ShapeMismatch
 
@@ -147,25 +148,57 @@ class TestPooling:
             ad.maxpool1d(_leaf(tape, [1.0]), 2, tape)
 
 
+def _dropout_model(rate):
+    return md.ModelConfig(n_stacks=2, blocks_per_stack=2, alpha=0.4,
+                          lookback=16, horizon=4, hidden_depth=2,
+                          hidden_width=8, conv_variant="none",
+                          dropout_rate=rate)
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         tape = Tape()
         x = _leaf(tape, [1.0, 2.0])
-        y = ad.dropout(x, 0.0, np.random.default_rng(0), tape, True)
+        y = ad.dropout(x, 0.0, np.zeros(2), tape)
         assert y is x
+        assert len(tape.nodes) == 1
+        # the model at rate 0 draws nothing, even when given a generator
+        cfg = _dropout_model(0.0)
+        params = md.init_params(cfg)
+        inputs = np.random.default_rng(1).normal(size=(2, 16))
+        targets = np.zeros((2, 4))
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        with_rng, _ = md.forward_loss(inputs, targets, params, cfg, Tape(),
+                                      rng)
+        assert rng.bit_generator.state == state
+        without, _ = md.forward_loss(inputs, targets, params, cfg, Tape())
+        assert with_rng.value == without.value
 
     def test_inference_identity(self):
-        tape = Tape()
-        x = _leaf(tape, [1.0, 2.0])
-        y = ad.dropout(x, 0.5, np.random.default_rng(0), tape, False)
-        assert y is x
+        # dropout runs exactly when the forward pass is given a generator
+        x = np.random.default_rng(1).normal(size=(3, 16))
+        y = np.zeros((3, 4))
+        cfg_off, cfg = _dropout_model(0.0), _dropout_model(0.5)
+        params = md.init_params(cfg_off)
+        off = md.model_forward(x, params, cfg_off, Tape())
+        loss_off, _ = md.forward_loss(x, y, params, cfg_off, Tape())
+        on = md.model_forward(x, params, cfg, Tape())
+        np.testing.assert_array_equal(on.global_forecast,
+                                      off.global_forecast)
+        assert md.forward_loss(x, y, params, cfg, Tape())[0].value == \
+            loss_off.value
+        dropped, _ = md.forward_loss(x, y, params, cfg, Tape(),
+                                     np.random.default_rng(2))
+        assert dropped.value != loss_off.value
 
     def test_inverted_scaling(self):
         tape = Tape()
-        rng = np.random.default_rng(3)
+        draws = np.random.default_rng(3).random(100_000)
         x = _leaf(tape, np.ones(100_000))
-        y = ad.dropout(x, 0.1, rng, tape, True)
+        y = ad.dropout(x, 0.1, draws, tape)
         assert 0.97 < y.value.mean() < 1.03
+        np.testing.assert_array_equal(y.value, (draws >= 0.1) / 0.9)
 
 
 class TestXavierInit:

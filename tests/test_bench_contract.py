@@ -11,6 +11,7 @@ import numpy as np
 from wavestack import cli
 from wavestack import model as md
 from wavestack import training as tr
+from wavestack.autodiff import Tape
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -57,3 +58,18 @@ def test_tracer_counts_cli_config_load(tmp_path):
         assert cli.main(["decompose", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 0
     assert tracer.calls["config.load_run_config"] == 1
+
+
+def test_forward_calls_by_position():
+    # bench/workload.py calls both forward entry points positionally
+    cfg = md.ModelConfig(n_stacks=2, blocks_per_stack=1, lookback=16,
+                         horizon=4, hidden_depth=1, hidden_width=4,
+                         conv_variant="none")
+    params = md.init_params(cfg)
+    x, y = np.ones((3, 16)), np.zeros((3, 4))
+    bundle = md.model_forward(x, params, cfg, Tape())
+    assert bundle.global_forecast.shape == (3, 4)
+    tape = Tape()
+    loss, leaves = md.forward_loss(x, y, params, cfg, tape)
+    tape.backward(loss)
+    assert set(leaves) == set(params)

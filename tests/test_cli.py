@@ -537,3 +537,45 @@ class TestAblate:
         with pytest.raises(SystemExit):
             cli.main(["ablate", "--config", str(tiny_config),
                       "--axis", "bogus"])
+
+    def test_jobs_capped_at_cell_count(self, tmp_path, monkeypatch):
+        # a pool forks all its workers up front: never more than the cells
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        csvs = []
+        for grid, jobs in (("[0.0, 0.4]", "64"), ("[0.0, 0.4]", "1"),
+                           ("[0.4]", "64")):
+            cfg = tmp_path / "ab.cfg"
+            cfg.write_text(TINY_CONFIG + f"ablate.alpha_grid = {grid}\n"
+                           "ablate.repetitions = 1\n")
+            out = tmp_path / f"ab{len(csvs)}"
+            assert cli.main(["ablate", "--config", str(cfg), "--axis",
+                             "alpha", "--jobs", jobs, "--out", str(out)]) == 0
+            csvs.append((out / "ablation_alpha.csv").read_bytes())
+        assert pools == [2]  # one cell runs in this process
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("command", ["decompose", "train", "forecast",
+                                         "eval"])
+    def test_jobs_only_on_ablate(self, command, tiny_config, capsys):
+        checkpoint = ["--checkpoint", "c.txt"] if command in (
+            "forecast", "eval") else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(tiny_config), *checkpoint,
+                      "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

@@ -142,11 +142,14 @@ class TestTrainEnsemble:
         cfg = tiny_cfg()
         ecfg = ens.EnsembleConfig(size=3)
         members = ens.train_ensemble(cfg, windows, windows, QUICK, ecfg)
-        ef = ens.ensemble_forecast(windows.inputs[0], members, cfg,
-                                   method="median")
-        assert len(ef.member_forecasts) == 3
-        np.testing.assert_array_equal(
-            ef.aggregated, ens.aggregate(ef.member_forecasts, "median"))
+        sets = [tr.forecast(windows.inputs, r.params, cfg)
+                for _, r in members]
+        aggregated = ens.aggregate(sets, "median")
+        assert len(sets) == 3
+        assert aggregated.shape == (len(windows), cfg.horizon)
+        for row, member_rows in zip(aggregated, zip(*sets)):
+            np.testing.assert_array_equal(
+                row, np.median(np.stack(member_rows), axis=0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_member_identifies_seed(self):

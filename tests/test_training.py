@@ -482,8 +482,7 @@ def _per_window_grads(batch, windows, params, cfg, rng):
     for j in batch:
         tape = Tape()
         loss, leaves = md.forward_loss(
-            windows.inputs[j], windows.targets[j], params, cfg, tape,
-            rng=rng, training=True)
+            windows.inputs[j], windows.targets[j], params, cfg, tape, rng)
         tape.backward(loss)
         total += float(loss.value) / len(batch)
         for name in grads:

@@ -131,6 +131,26 @@ class TestMdwd:
                 p_mix.approx[lvl],
                 a * p_x.approx[lvl] + b * p_y.approx[lvl], atol=1e-8)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("length", [45, 64, 720])
+    def test_finer_approximations_match_direct_synthesis(self, kind, length):
+        # mdwd synthesises only the coarsest approximation and sums the
+        # finer ones from it; each must agree with its own synthesis to
+        # the transform's reconstruction error (sym4's coefficient table
+        # is unit-energy only to 5e-13)
+        atol = 1e-11 if kind == "sym4" else 1e-13
+        x = np.random.default_rng(6).normal(size=(3, length))
+        pyramid = wv.mdwd(x, 4, kind)
+        pair = wv.filter_bank(kind)
+        input_lengths = [length] + [c.shape[-1] for c in pyramid.raw_low[:-1]]
+        for lvl in range(1, 5):
+            direct = wv._reconstruct_from_level(
+                pyramid.raw_low[lvl - 1], lvl, pair.low, pair, input_lengths)
+            if lvl == 4:
+                np.testing.assert_array_equal(pyramid.approx[-1], direct)
+            np.testing.assert_allclose(pyramid.approx[lvl - 1], direct,
+                                       rtol=0, atol=atol)
+
     @pytest.mark.parametrize("length", [45, 91])
     def test_odd_length_reconstruction(self, length):
         rng = np.random.default_rng(3)
@@ -158,7 +178,7 @@ class TestMdwd:
                 np.testing.assert_array_equal(got[r], want)
 
 
-class TestReconstructBranch:
+class TestReconstructedSubseries:
     def test_single_level_sum(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=64)
