@@ -125,9 +125,9 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int,
             f"input length {t} < receptive field {span + 1}")
     t_out = t - span
     # [k, ...batch, t_out] flattened to [k, batch * t_out]: one product
-    taps = np.stack([x.value[..., span - j * dilation:
-                             span - j * dilation + t_out]
-                     for j in range(k)]).reshape(k, -1)
+    taps = np.concatenate([x.value[..., span - j * dilation:
+                                   span - j * dilation + t_out]
+                           for j in range(k)]).reshape(k, -1)
     y = (kernel.value @ taps).reshape(shape[:-1] + (t_out,))
 
     def vjp_x(g, k=k, span=span, t_out=t_out, dilation=dilation,

@@ -267,7 +267,8 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
     """Full training loop; returns the checkpoint with the lowest
     validation loss.  Parameters, gradients and Adam's moments live in
     one `Buckets` layout, and the model reads the parameters as views
-    into their buckets.  `init` is copied, never written."""
+    into their buckets.  `init` is copied, never written.  Raises
+    NonFiniteLoss when no epoch gives a finite validation loss."""
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ValueError("train and validation window sets must be nonempty")
     init = init or md.init_params(model_cfg)
@@ -312,6 +313,9 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
             if since_best >= cfg.patience:
                 stopped_early = True
                 break
+    if best_params is None:  # NaN and inf never beat best_val = inf
+        raise NonFiniteLoss(f"no finite validation loss after "
+                            f"{len(history)} epoch(s)")
     return TrainResult(params=best_params, history=history,
                        best_epoch=best_epoch, best_val=best_val,
                        stopped_early=stopped_early)

@@ -76,13 +76,23 @@ class FilterPair:
         return len(self.low)
 
 
-def filter_bank(kind: FilterKind | str) -> FilterPair:
-    """Return the validated analysis filter pair for a supported kind."""
-    kind = FilterKind(kind)
+def _build_bank(kind: FilterKind) -> FilterPair:
     low = np.asarray(_LOW_PASS[kind], dtype=np.float64)
     k = len(low)
     high = np.array([(-1.0) ** i * low[k - 1 - i] for i in range(k)])
+    low.setflags(write=False)
+    high.setflags(write=False)
     return FilterPair(low=low, high=high, kind=kind)
+
+
+# Every kind's pair, built and validated once; its arrays are read-only,
+# so no caller can change the cached filters.
+_BANKS = {kind: _build_bank(kind) for kind in FilterKind}
+
+
+def filter_bank(kind: FilterKind | str) -> FilterPair:
+    """Return the validated analysis filter pair for a supported kind."""
+    return _BANKS[FilterKind(kind)]
 
 
 @dataclass(frozen=True)
@@ -104,24 +114,33 @@ def _analysis_step(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
     length T: y[..., m] = sum_j filt[j] * x[..., (2m+j) mod T], summed
     tap by tap."""
     t = x.shape[-1]
-    ext = x[..., np.arange(t + len(filt) - 1) % t]
+    k = len(filt)
+    if k - 1 <= t:
+        ext = np.concatenate([x, x[..., :k - 1]], axis=-1)
+    else:  # the filter wraps the signal more than once
+        ext = x[..., np.arange(t + k - 1) % t]
     y = filt[0] * ext[..., 0:t:2]
-    for j in range(1, len(filt)):
+    for j in range(1, k):
         y = y + filt[j] * ext[..., j:j + t:2]
     return y
 
 
-def _synthesis_step(coeffs: np.ndarray, filt: np.ndarray,
-                    out_len: int) -> np.ndarray:
+def _synthesis_step(coeffs: np.ndarray, filt: np.ndarray) -> np.ndarray:
     """Adjoint of the periodic analysis step for one filter, over the last
     axis; summed over the low and high filters it inverts the analysis
-    exactly for orthonormal pairs.  out_len is even, so the positions one
-    tap writes are distinct."""
-    x = np.zeros(coeffs.shape[:-1] + (out_len,))
-    positions = 2 * np.arange(coeffs.shape[-1])
+    exactly for orthonormal pairs.  n coefficients give 2n samples, and
+    x[..., (2m+j) mod 2n] += filt[j] * coeffs[..., m] for every tap j.
+    Seen as n pairs, tap j adds to parity j % 2 of pair (m + j//2) mod n:
+    one slice add, and a second for the part that wraps round."""
+    n = coeffs.shape[-1]
+    x = np.zeros(coeffs.shape + (2,))
     for j, f in enumerate(filt):
-        x[..., (positions + j) % out_len] += coeffs * f
-    return x
+        term = coeffs * f
+        s = (j // 2) % n
+        x[..., s:, j % 2] += term[..., :n - s]
+        if s:
+            x[..., :s, j % 2] += term[..., n - s:]
+    return x.reshape(coeffs.shape[:-1] + (2 * n,))
 
 
 def _decompose_coeffs(x, n_levels, pair):
@@ -145,7 +164,7 @@ def _reconstruct_from_level(cur, level, filt, pair, input_lengths):
     each step applies only one filter."""
     for lvl in range(level, 0, -1):
         n_in = input_lengths[lvl - 1]
-        cur = _synthesis_step(cur, filt, n_in + n_in % 2)[..., :n_in]
+        cur = _synthesis_step(cur, filt)[..., :n_in]
         filt = pair.low
     return cur
 

@@ -91,6 +91,15 @@ class TestDilatedConv:
             ad.dilated_conv1d(_leaf(tape, [1.0, 2.0]),
                               _leaf(tape, [1.0, 1.0]), 3, tape)
 
+    @pytest.mark.parametrize("lead", [(3,), (2, 2)])
+    def test_batch_rows_equal_definition(self, lead):
+        rng = np.random.default_rng(2)
+        x, k = rng.normal(size=lead + (20,)), rng.normal(size=3)
+        tape = Tape()
+        y = ad.dilated_conv1d(_leaf(tape, x), _leaf(tape, k), 2, tape)
+        want = sum(k[j] * x[..., 4 - 2 * j:20 - 2 * j] for j in range(3))
+        np.testing.assert_allclose(y.value, want, rtol=0, atol=1e-13)
+
     def test_gradients(self):
         rng = np.random.default_rng(1)
         params = {"x": rng.normal(size=12), "k": rng.normal(size=3)}

@@ -391,6 +391,19 @@ class TestExitCodes:
         assert "runtime error" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_finite_validation_loss_is_three(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(with_entries(
+            "model.hidden_depth = 2", "train.learning_rate = 1e200",
+            "train.epochs = 1", "train.batch_size = 128",
+            "train.grad_clip = null", "synthetic.length = 200"))
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "runtime error: no finite validation loss after 1 epoch(s)\n")
+
+
 class TestDecompose:
     def test_outputs_and_reconstruction(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "dec"

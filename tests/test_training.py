@@ -328,6 +328,15 @@ class TestTrainLoop:
         last = result.history[-1][2]
         assert last < first
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_finite_validation_loss_raises(self):
+        # one step at lr 1e200 leaves every validation forecast non-finite
+        windows = _toy_windows()
+        tcfg = tr.TrainConfig(learning_rate=1e200, epochs=1, batch_size=128,
+                              grad_clip=None)
+        with pytest.raises(NonFiniteLoss, match="after 1 epoch"):
+            tr.train(tiny_cfg(), windows, windows, tcfg)
+
     def test_returns_best_validation_checkpoint(self):
         windows = _toy_windows()
         cfg = tiny_cfg()

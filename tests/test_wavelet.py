@@ -41,6 +41,14 @@ class TestFilterBank:
     def test_short_filters(self, kind):
         assert len(wv.filter_bank(kind)) <= 8
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cached_and_read_only(self, kind):
+        pair = wv.filter_bank(kind)
+        assert wv.filter_bank(wv.FilterKind(kind)) is pair
+        for filt in (pair.low, pair.high):
+            with pytest.raises(ValueError):
+                filt[0] = 0.0
+
     def test_vanishing_moment_db2(self):
         # one vanishing moment beyond Haar: high filter kills linear ramps
         pair = wv.filter_bank("db2")
@@ -151,13 +159,15 @@ class TestMdwd:
             np.testing.assert_allclose(pyramid.approx[lvl - 1], direct,
                                        rtol=0, atol=atol)
 
+    @pytest.mark.parametrize("kind", ["haar", "db2"])
     @pytest.mark.parametrize("length", [45, 91])
-    def test_odd_length_reconstruction(self, length):
+    def test_odd_length_reconstruction(self, kind, length):
+        # over lengths 17-1043 at 3 levels the worst error is about 5e-15
         rng = np.random.default_rng(3)
         x = rng.normal(size=length)
-        pyramid = wv.mdwd(x, 3, "db2")
+        pyramid = wv.mdwd(x, 3, kind)
         recon = pyramid.approx[-1] + sum(pyramid.detail)
-        assert np.max(np.abs(recon - x)) < 1e-8
+        assert np.max(np.abs(recon - x)) < 1e-13
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(KINDS), levels=st.integers(1, 3),
@@ -176,6 +186,74 @@ class TestMdwd:
                                  single.approx + single.detail
                                  + single.raw_low + single.raw_high):
                 np.testing.assert_array_equal(got[r], want)
+
+
+def _index_analysis(x, filt):
+    t = x.shape[-1]
+    ext = x[..., np.arange(t + len(filt) - 1) % t]
+    y = filt[0] * ext[..., 0:t:2]
+    for j in range(1, len(filt)):
+        y = y + filt[j] * ext[..., j:j + t:2]
+    return y
+
+
+def _index_synthesis(coeffs, filt, out_len):
+    x = np.zeros(coeffs.shape[:-1] + (out_len,))
+    positions = 2 * np.arange(coeffs.shape[-1])
+    for j, f in enumerate(filt):
+        x[..., (positions + j) % out_len] += coeffs * f
+    return x
+
+
+def _index_mdwd(x, n_levels, kind):
+    """mdwd with every periodic step written as a gather or scatter by a
+    `% T` index array: the slow reference for the slice-based steps."""
+    pair = wv.filter_bank(kind)
+    raw_low, raw_high, lengths = [], [], []
+    cur = x
+    for _ in range(n_levels):
+        lengths.append(cur.shape[-1])
+        if cur.shape[-1] % 2 == 1:
+            cur = np.concatenate([cur, cur[..., :1]], axis=-1)
+        raw_low.append(_index_analysis(cur, pair.low))
+        raw_high.append(_index_analysis(cur, pair.high))
+        cur = raw_low[-1]
+
+    def synthesise(cur, level, filt):
+        for lvl in range(level, 0, -1):
+            n_in = lengths[lvl - 1]
+            cur = _index_synthesis(cur, filt, n_in + n_in % 2)[..., :n_in]
+            filt = pair.low
+        return cur
+
+    detail = [synthesise(raw_high[lvl - 1], lvl, pair.high)
+              for lvl in range(1, n_levels + 1)]
+    approx = [synthesise(raw_low[-1], n_levels, pair.low)]
+    for lvl in range(n_levels - 1, 0, -1):
+        approx.insert(0, approx[0] + detail[lvl])
+    return approx, detail, raw_low, raw_high
+
+
+class TestSliceStepsMatchIndexReference:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(KINDS),
+           length=st.sampled_from(list(range(2, 81)) + [127, 720, 721, 1043]),
+           lead=st.sampled_from([(), (3,), (2, 2)]),
+           log_scale=st.floats(-5, 5), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_bit_identical(self, kind, length, lead, log_scale, seed, data):
+        levels = data.draw(st.integers(1, min(6, length.bit_length() - 1)))
+        x = 10.0 ** log_scale * np.random.default_rng(seed).normal(
+            size=lead + (length,))
+        pyramid = wv.mdwd(x, levels, kind)
+        want = _index_mdwd(x, levels, kind)
+        got = (pyramid.approx, pyramid.detail, pyramid.raw_low,
+               pyramid.raw_high)
+        for got_list, want_list in zip(got, want):
+            assert len(got_list) == len(want_list) == levels
+            for g, w in zip(got_list, want_list):
+                np.testing.assert_array_equal(g, w)
+                np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
 
 
 class TestReconstructedSubseries:
