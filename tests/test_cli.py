@@ -390,7 +390,6 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 3
         assert "runtime error" in capsys.readouterr().err
 
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_finite_validation_loss_is_three(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"
