@@ -268,16 +268,19 @@ def main(argv=None) -> int:
         run = _apply_seed(load_run_config(args.config), args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "decompose":
-            cmd_decompose(run, out)
-        elif args.command == "train":
-            cmd_train(run, out)
-        elif args.command == "forecast":
-            cmd_forecast(run, out, args.checkpoint)
-        elif args.command == "eval":
-            cmd_eval(run, out, args.checkpoint, baseline=args.baseline)
-        elif args.command == "ablate":
-            cmd_ablate(run, out, args.axis, jobs=args.jobs)
+        # NonFiniteLoss and NonFiniteGradient report a diverging run in one
+        # line; numpy's floating-point warnings would add lines before it.
+        with np.errstate(all="ignore"):
+            if args.command == "decompose":
+                cmd_decompose(run, out)
+            elif args.command == "train":
+                cmd_train(run, out)
+            elif args.command == "forecast":
+                cmd_forecast(run, out, args.checkpoint)
+            elif args.command == "eval":
+                cmd_eval(run, out, args.checkpoint, baseline=args.baseline)
+            elif args.command == "ablate":
+                cmd_ablate(run, out, args.axis, jobs=args.jobs)
     except (InvalidInput, OSError, UnicodeDecodeError) as exc:
         print(f"error: {describe(exc)}", file=sys.stderr)
         return 2

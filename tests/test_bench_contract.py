@@ -73,3 +73,20 @@ def test_forward_calls_by_position():
     loss, leaves = md.forward_loss(x, y, params, cfg, tape)
     tape.backward(loss)
     assert set(leaves) == set(params)
+
+
+def test_tracer_counts_one_adam_step_per_minibatch():
+    # training.adam_step.ms_per_call is a time per optimizer step only
+    # while train makes one adam_step call, by module attribute, per batch
+    cfg = md.ModelConfig(n_stacks=2, blocks_per_stack=1, lookback=16,
+                         horizon=4, hidden_depth=1, hidden_width=4,
+                         conv_variant="none")
+    windows = tr.make_windows(np.sin(np.arange(60) / 3.0), 16, 4, stride=2)
+    tcfg = tr.TrainConfig(epochs=3, batch_size=4, patience=3)
+    with _load_tracing().Tracer() as tracer:
+        result = tr.train(cfg, windows, windows, tcfg)
+    batches = -(-len(windows) // tcfg.batch_size)
+    assert len(windows) % tcfg.batch_size != 0  # a short last batch too
+    assert tracer.calls["training.adam_step"] == \
+        tracer.calls["training.batch_grads"] == \
+        batches * len(result.history)

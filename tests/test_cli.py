@@ -1,8 +1,12 @@
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import typing
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from wavestack import cli, config as cfgmod, dataio, errors
 from wavestack import ensemble as ens, training as tr
 from wavestack.errors import ConfigError
 from wavestack.model import CONV_VARIANTS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_CONFIG = """
 # fast synthetic run
@@ -400,6 +406,25 @@ class TestExitCodes:
         assert cli.main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (
+            "runtime error: no finite validation loss after 1 epoch(s)\n")
+
+
+    def test_diverging_run_writes_one_line_to_stderr(self, tmp_path):
+        # in a process of its own, so that numpy's warnings reach stderr
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(with_entries(
+            "model.hidden_depth = 2", "train.learning_rate = 1e200",
+            "train.epochs = 1", "train.batch_size = 128",
+            "train.grad_clip = null", "synthetic.length = 200"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                                   if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "wavestack.cli", "train", "--config",
+             str(cfg), "--out", str(tmp_path / "o")], env=env,
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 3
+        assert done.stderr == (
             "runtime error: no finite validation loss after 1 epoch(s)\n")
 
 

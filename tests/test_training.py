@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wavestack import model as md
 from wavestack import training as tr
@@ -201,6 +207,19 @@ class TestAdam:
         tr._clip_grads(grads, 1.0)
         np.testing.assert_allclose(grads[0], [0.3, 0.4])
 
+    def test_clip_norm_whose_square_overflows(self):
+        # the sum of squares is inf, the norm is not: the plain factor
+        # max_norm / inf would zero every gradient
+        grads = [np.array([1e200, 1e200]), np.array([3.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = tr._clip_grads(grads, 10.0)
+        assert norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+        np.testing.assert_allclose(grads[0], [10.0 / np.sqrt(2.0)] * 2,
+                                   rtol=1e-15)
+        np.testing.assert_allclose(grads[1], [3.0 * 10.0 / norm], rtol=1e-15)
+        assert grads[1][0] > 0.0
+
     @settings(max_examples=40, deadline=None)
     @given(shapes=_tiny_shapes, big_at=st.integers(0, 40),
            with_big=st.booleans(), steps=st.integers(1, 4),
@@ -231,6 +250,54 @@ class TestAdam:
             for name in ref:
                 np.testing.assert_array_equal(params[name], ref[name], name)
         assert state.step == steps
+
+    @settings(max_examples=25, deadline=None)
+    @given(lead=st.integers(1, tr.ADAM_CHUNK - 1),
+           sizes=st.lists(st.integers(1, 2 * tr.ADAM_CHUNK), min_size=1,
+                          max_size=5),
+           steps=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @example(lead=5, sizes=[11, 2 * tr.ADAM_CHUNK + 3], steps=2, seed=0)
+    def test_chunked_matches_per_tensor_adam(self, lead, sizes, steps, seed):
+        """Adam over chunks of a bucket gives the per-tensor bits when
+        tensors straddle chunk edges and buckets are no multiple of a
+        chunk."""
+        sizes = [tr.ADAM_CHUNK - lead, lead + sizes[0]] + sizes[1:]
+        rng = np.random.default_rng(seed)
+        cfg = tr.TrainConfig()
+        init = _random_tensors([(n,) for n in sizes], rng)
+        buckets, weights, params, state = _bucketed(init)
+        _, second, _ = buckets.slots[0][1]  # starts lead before a chunk edge
+        assert second.start < tr.ADAM_CHUNK < second.stop
+        ref = {k: x.copy() for k, x in init.items()}
+        m = {k: np.zeros_like(x) for k, x in init.items()}
+        v = {k: np.zeros_like(x) for k, x in init.items()}
+        for t in range(1, steps + 1):
+            grads = _random_tensors([(n,) for n in sizes], rng,
+                                    scale=10.0 ** rng.uniform(-6, 3))
+            lr = float(rng.uniform(1e-5, 1e-1))
+            tr.adam_step(state, weights, _gathered(buckets, grads), lr, cfg)
+            _per_tensor_adam(ref, grads, m, v, t, lr, cfg)
+            for name in ref:
+                np.testing.assert_array_equal(params[name], ref[name], name)
+
+    def test_overflowing_squares_are_not_non_finite(self):
+        # 2 * (1e154)^2 overflows the sum of squares; every update term
+        # stays finite, so the step runs without a warning
+        cfg = tr.TrainConfig()
+        init = {"w": np.array([1.0, -2.0, 0.5]), "b": np.array([4.0])}
+        grads = {"w": np.array([1e154, -1e154, 3.0]), "b": np.array([1.0])}
+        buckets, weights, params, state = _bucketed(init)
+        ref = {k: x.copy() for k, x in init.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr.adam_step(state, weights, _gathered(buckets, grads), 0.01, cfg)
+        _per_tensor_adam(ref, grads, {k: 0.0 for k in ref},
+                         {k: 0.0 for k in ref}, 1, 0.01, cfg)
+        for name in ref:
+            np.testing.assert_array_equal(params[name], ref[name], name)
+        grads["b"][0] = np.inf  # an inf element among them still raises
+        with pytest.raises(NonFiniteGradient, match="'b' at step 1$"):
+            tr.adam_step(state, weights, _gathered(buckets, grads), 0.01, cfg)
 
     def test_each_tensor_larger_than_a_bucket_is_alone(self):
         big = tr.BUCKET_ELEMENTS + 1
@@ -442,6 +509,92 @@ class TestTrainLoop:
         empty = tr.WindowSet(inputs=[], targets=[], offsets=[])
         with pytest.raises(ValueError):
             tr.train(tiny_cfg(), empty, windows, tr.TrainConfig())
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# two models whose bucket layouts differ, and the run that trains them
+SMALL = dict(lookback=16, conv_variant="dcn", kernel_sizes=(3, 3),
+             dropout_rate=0.1)
+LARGE = dict(SMALL, hidden_width=12)
+_RUN = tr.TrainConfig(learning_rate=1e-2, epochs=3, batch_size=8,
+                      grad_clip=1.0, seed=3)
+
+
+def _train(model, init=None):
+    return tr.train(tiny_cfg(**model), _toy_windows(n=40, lookback=16),
+                    _toy_windows(n=24, lookback=16, seed=1), _RUN, init=init)
+
+
+class TestWorkspace:
+    @pytest.fixture(autouse=True)
+    def empty_workspace(self, monkeypatch):
+        monkeypatch.setattr(tr, "_WORKSPACE", {})
+
+    def _held_sizes(self):
+        assert len(tr._WORKSPACE) <= 1
+        return next(iter(tr._WORKSPACE), None)
+
+    @pytest.mark.parametrize("a, b", [(LARGE, SMALL), (SMALL, LARGE)])
+    def test_layouts_a_b_a_match_a_fresh_process(self, a, b, tmp_path):
+        script = ("import sys, numpy as np\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "from test_training import _train, LARGE, SMALL\n"
+                  f"np.savez(sys.argv[2], **_train({a!r}).params)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                                   if p]))
+        subprocess.run([sys.executable, "-c", script, str(ROOT / "tests"),
+                        str(tmp_path / "fresh.npz")], env=env, check=True,
+                       timeout=300)
+        fresh = np.load(tmp_path / "fresh.npz")
+        held = []
+        for model in (a, b, a):
+            result = _train(model)
+            held.append(tr._WORKSPACE[self._held_sizes()][0])  # weights
+        # the largest layout stays held; with a the larger, its third
+        # call trained in the buffers of its first
+        large = tuple(tr.Buckets(md.init_params(tiny_cfg(**LARGE))).sizes)
+        assert self._held_sizes() == large
+        assert (held[0] is held[2]) == (a is LARGE)
+        assert list(result.params) == list(fresh)
+        for name, value in result.params.items():
+            np.testing.assert_array_equal(value, fresh[name], name)
+
+    def test_earlier_result_is_kept_and_unshared(self):
+        first = _train(SMALL)
+        kept = {k: x.copy() for k, x in first.params.items()}
+        second = _train(SMALL, init=first.params)
+        weights, grads, state = tr._WORKSPACE[self._held_sizes()]
+        live = weights + grads + state.m + state.v + list(state.scratch)
+        for name, value in first.params.items():
+            np.testing.assert_array_equal(value, kept[name], name)
+            for other in list(second.params.values()) + live:
+                assert not np.may_share_memory(value, other), name
+        for value in second.params.values():
+            for buf in live:
+                assert not np.may_share_memory(value, buf)
+
+    def test_clean_bits_after_non_finite_gradient(self, monkeypatch):
+        clean = _train(SMALL)
+        batch_grads = tr._batch_grads
+        calls = []
+
+        def poisoned(*args):
+            loss, grads = batch_grads(*args)
+            calls.append(None)
+            if len(calls) == 3:  # after two steps have moved the buffers
+                next(iter(grads.values())).reshape(-1)[0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(tr, "_batch_grads", poisoned)
+        with pytest.raises(NonFiniteGradient):
+            _train(SMALL)
+        assert self._held_sizes() is None
+        monkeypatch.setattr(tr, "_batch_grads", batch_grads)
+        again = _train(SMALL)
+        for name, value in clean.params.items():
+            np.testing.assert_array_equal(again.params[name], value, name)
 
 
 def _per_window_forecasts(windows, params, cfg):
