@@ -408,7 +408,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "runtime error: no finite validation loss after 1 epoch(s)\n")
 
-
     def test_diverging_run_writes_one_line_to_stderr(self, tmp_path):
         # in a process of its own, so that numpy's warnings reach stderr
         cfg = tmp_path / "diverge.cfg"
