@@ -4,6 +4,7 @@ synthetic benchmark generation."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,39 +47,53 @@ class Dataset:
 
 
 def load_csv(path, value_column: str) -> np.ndarray:
-    """Read one numeric column, preserving row order."""
+    """Read one numeric column, preserving row order.  The first row names
+    the columns; a name given twice means its last column.  Blank lines
+    are skipped and not counted as rows."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         values = []
+        # The line a MalformedCsv names, as csv.DictReader counted it: the
+        # reader's count after the last row read, except that a blank line
+        # after a blank line does not move it.
+        line_num = 0
         try:
-            if reader.fieldnames is None or \
-                    value_column not in reader.fieldnames:
+            header = next(reader, [])
+            line_num = reader.line_num
+            col = {name: i for i, name in enumerate(header)}.get(value_column)
+            if col is None:
                 raise MissingColumn(
                     f"column {value_column!r} not found in {path}")
-            for row_no, row in enumerate(reader, start=1):
-                cell = row[value_column]
+            row_no, blank = 0, False
+            for row in reader:
+                if row or not blank:
+                    line_num = reader.line_num
+                blank = not row
+                if blank:
+                    continue
+                row_no += 1
                 try:
-                    value = float(cell)
-                except (TypeError, ValueError):
+                    value = float(row[col])
+                except (IndexError, ValueError):
                     raise NonNumericCell(row_no) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise NonNumericCell(row_no,
                                          f"non-finite value at row {row_no}")
                 values.append(value)
         except csv.Error as exc:
-            raise MalformedCsv(
-                f"{path}: line {reader.line_num}: {exc}") from None
+            raise MalformedCsv(f"{path}: line {line_num}: {exc}") from None
     if not values:
         raise EmptySeries(f"no data rows in {path}")
     return np.array(values, dtype=np.float64)
 
 
 def save_csv(path, series, value_column: str = "value") -> None:
-    series = np.asarray(series, dtype=np.float64)
+    """A `t,<value_column>` table of a 1-D series, each value written with
+    repr, in one write."""
+    rows = [f"{t},{v!r}\n" for t, v in enumerate(
+        np.asarray(series, dtype=np.float64).tolist())]
     with open(path, "w") as fh:
-        fh.write(f"t,{value_column}\n")
-        for t, v in enumerate(series):
-            fh.write(f"{t},{float(v)!r}\n")
+        fh.write(f"t,{value_column}\n" + "".join(rows))
 
 
 def split(series, train_frac: float = 0.70, val_frac: float = 0.10,

@@ -126,17 +126,15 @@ def _conv_kernel_names(i, cfg: ModelConfig):
     return [f"s{i}.conv{j}.kernel" for j in range(len(cfg.dilations))]
 
 
-def init_params(cfg: ModelConfig, seed: Optional[int] = None) -> dict:
-    """Deterministic parameter initialization: Xavier-uniform affine
-    weights, zero biases, delta-initialized convolution kernels."""
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    params = {}
+def param_shapes(cfg: ModelConfig) -> dict:
+    """{name: shape} of every parameter the model reads, in the order
+    `init_params` draws them.  Convolution kernels end in `.kernel`,
+    affine weights in `.W` and biases in `.b`."""
+    shapes = {}
     for i in range(1, cfg.n_stacks + 1):
         k = cfg.kernel_sizes[i - 1]
         for name in _conv_kernel_names(i, cfg):
-            delta = np.zeros(k)
-            delta[0] = 1.0
-            params[name] = delta
+            shapes[name] = (k,)
         in_dim = cfg.conv_output_length(i)
         tb, tf = cfg.theta_b_dim(i), cfg.theta_f_dim()
         w = cfg.hidden_width
@@ -144,17 +142,31 @@ def init_params(cfg: ModelConfig, seed: Optional[int] = None) -> dict:
             prefix = f"s{i}.b{kb}"
             dims = [in_dim] + [w] * cfg.hidden_depth
             for d in range(cfg.hidden_depth):
-                params[f"{prefix}.trunk{d}.W"] = ad.xavier_init(
-                    (dims[d + 1], dims[d]), rng)
-                params[f"{prefix}.trunk{d}.b"] = np.zeros(dims[d + 1])
+                shapes[f"{prefix}.trunk{d}.W"] = (dims[d + 1], dims[d])
+                shapes[f"{prefix}.trunk{d}.b"] = (dims[d + 1],)
             for name, out in ((f"{prefix}.head_b", tb),
                               (f"{prefix}.head_f", tf)):
-                params[f"{name}.W"] = ad.xavier_init((out, w), rng)
-                params[f"{name}.b"] = np.zeros(out)
-            params[f"{prefix}.proj_b.W"] = ad.xavier_init((in_dim, tb), rng)
-            params[f"{prefix}.proj_b.b"] = np.zeros(in_dim)
-            params[f"{prefix}.proj_f.W"] = ad.xavier_init((cfg.horizon, tf), rng)
-            params[f"{prefix}.proj_f.b"] = np.zeros(cfg.horizon)
+                shapes[f"{name}.W"] = (out, w)
+                shapes[f"{name}.b"] = (out,)
+            shapes[f"{prefix}.proj_b.W"] = (in_dim, tb)
+            shapes[f"{prefix}.proj_b.b"] = (in_dim,)
+            shapes[f"{prefix}.proj_f.W"] = (cfg.horizon, tf)
+            shapes[f"{prefix}.proj_f.b"] = (cfg.horizon,)
+    return shapes
+
+
+def init_params(cfg: ModelConfig, seed: Optional[int] = None) -> dict:
+    """Deterministic parameter initialization: Xavier-uniform affine
+    weights, zero biases, delta-initialized convolution kernels."""
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    params = {}
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith(".W"):
+            params[name] = ad.xavier_init(shape, rng)
+        else:
+            params[name] = np.zeros(shape)
+            if name.endswith(".kernel"):
+                params[name][0] = 1.0
     return params
 
 

@@ -229,6 +229,10 @@ def _clip_grads(grads: list, max_norm: float) -> float:
         # g / max|g|, so that the factor is not max_norm / inf = 0
         big = max(float(np.max(np.abs(g), initial=0.0)) for g in grads)
         total = np.sqrt(sum(float((g / big) @ (g / big)) for g in grads))
+    if not np.isfinite(total):
+        # an inf or NaN element: scaling would turn an inf into NaN and
+        # zero the rest, and adam_step raises NonFiniteGradient naming it
+        return float(total)
     if total > max_norm / big:
         factor = (max_norm / big) / total
         for g in grads:
@@ -390,63 +394,90 @@ def config_hash(model_cfg: md.ModelConfig) -> str:
 def save_checkpoint(path, params: dict, model_cfg: md.ModelConfig,
                     epoch: int = -1, val_loss: float = float("nan")) -> None:
     """Plain-text named-tensor container; floats are written with repr so
-    reloads are bit-exact."""
-    lines = [f"format_version {CHECKPOINT_FORMAT_VERSION}",
-             f"config_hash {config_hash(model_cfg)}",
-             f"epoch {epoch}",
-             f"val_loss {val_loss!r}"]
-    for name in sorted(params):
-        arr = params[name]
-        shape = ",".join(str(s) for s in arr.shape)
-        lines.append(f"tensor {name} {shape}")
-        lines.append(" ".join(repr(float(v)) for v in arr.reshape(-1)))
+    reloads are bit-exact.  The file is written one tensor at a time, so
+    that the text of only one tensor is held at once."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"format_version {CHECKPOINT_FORMAT_VERSION}\n"
+                 f"config_hash {config_hash(model_cfg)}\n"
+                 f"epoch {epoch}\n"
+                 f"val_loss {val_loss!r}\n")
+        for name in sorted(params):
+            arr = params[name]
+            shape = ",".join(str(s) for s in arr.shape)
+            values = np.asarray(arr, dtype=np.float64).reshape(-1).tolist()
+            fh.write(f"tensor {name} {shape}\n")
+            fh.write(" ".join(map(repr, values)))
+            fh.write("\n")
 
 
 def load_checkpoint(path, model_cfg: Optional[md.ModelConfig] = None):
     """Returns (params, header dict); raises CorruptCheckpoint on a
     malformed file.  Given a model config, verifies the config hash and
-    that the tensor names and shapes are the ones the model needs."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = {}
-    i = 0
-    while i < len(lines) and not lines[i].startswith("tensor "):
-        key, sep, value = lines[i].partition(" ")
-        if not sep:
-            raise CorruptCheckpoint(
-                f"{path}: line {i + 1}: expected 'KEY VALUE'")
-        header[key] = value
-        i += 1
-    params = {}
-    while i < len(lines):
-        fields = lines[i].split(" ")
-        if len(fields) != 3 or i + 1 == len(lines):
-            raise CorruptCheckpoint(
-                f"{path}: line {i + 1}: expected 'tensor NAME SHAPE' "
-                f"followed by a value line")
-        _, name, shape_s = fields
-        try:
-            shape = tuple(int(s) for s in shape_s.split(",") if s)
-            values = np.array([float(v) for v in lines[i + 1].split()])
-        except ValueError as exc:
-            raise CorruptCheckpoint(
-                f"{path}: tensor {name}: {exc}") from None
-        if values.size != int(np.prod(shape)):
-            raise CorruptCheckpoint(
-                f"{path}: tensor {name}: {values.size} values for shape "
-                f"{shape}")
-        params[name] = values.reshape(shape)
-        i += 2
+    that the tensor names and shapes are the ones the model needs.
+
+    The file is read one line at a time.  A file that does not decode
+    raises the UnicodeDecodeError that reading it whole reports, wherever
+    the bad byte lies, before any other error."""
+    try:
+        with open(path) as fh:
+            params, header = _read_checkpoint(path, fh)
+    except UnicodeDecodeError:
+        with open(path) as fh:
+            fh.read()  # the error, at the offset a whole-file read gives
+        raise
     if model_cfg is not None:
         if header.get("config_hash") != config_hash(model_cfg):
             raise ConfigMismatch(
                 "checkpoint was produced by a different model configuration")
-        expected = {k: v.shape for k, v in md.init_params(model_cfg).items()}
-        if {k: v.shape for k, v in params.items()} != expected:
+        if {k: v.shape for k, v in params.items()} != \
+                md.param_shapes(model_cfg):
             raise CorruptCheckpoint(
                 f"{path}: tensor names or shapes differ from the model's")
+    return params, header
+
+
+def _read_checkpoint(path, fh):
+    """(params, header) from an open checkpoint.  Its lines, numbered
+    from 1, are those of `str.splitlines`, which also breaks at \\x0b,
+    \\x0c, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029 where file
+    iteration breaks only at newlines."""
+    lines = enumerate((part for raw in fh for part in raw.splitlines()),
+                      start=1)
+
+    def corrupt(message):
+        for _ in fh:  # decode the rest: a decode error anywhere comes first
+            pass
+        return CorruptCheckpoint(f"{path}: {message}")
+
+    header = {}
+    for no, line in lines:
+        if line.startswith("tensor "):
+            break
+        key, sep, value = line.partition(" ")
+        if not sep:
+            raise corrupt(f"line {no}: expected 'KEY VALUE'")
+        header[key] = value
+    else:
+        return {}, header
+    params = {}
+    while line is not None:
+        fields = line.split(" ")
+        _, value_line = next(lines, (None, None))
+        if len(fields) != 3 or value_line is None:
+            raise corrupt(f"line {no}: expected 'tensor NAME SHAPE' "
+                          f"followed by a value line")
+        _, name, shape_s = fields
+        try:
+            shape = tuple(int(s) for s in shape_s.split(",") if s)
+            tokens = value_line.split()
+            values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        except ValueError as exc:
+            raise corrupt(f"tensor {name}: {exc}") from None
+        if values.size != int(np.prod(shape)):
+            raise corrupt(f"tensor {name}: {values.size} values for shape "
+                          f"{shape}")
+        params[name] = values.reshape(shape)
+        no, line = next(lines, (None, None))
     return params, header
 
 

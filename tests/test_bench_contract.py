@@ -8,23 +8,24 @@ from pathlib import Path
 
 import numpy as np
 
-from wavestack import cli
+from wavestack import cli, dataio
 from wavestack import model as md
 from wavestack import training as tr
 from wavestack.autodiff import Tape
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    for owner, attr, layer in _load_tracing()._WRAPPED:
+    for owner, attr, layer in _load_bench("tracing")._WRAPPED:
         assert callable(getattr(owner, attr, None)), (attr, layer)
 
 
@@ -41,7 +42,7 @@ def test_tracer_counts_every_evaluated_window():
                          conv_variant="none")
     windows = tr.make_windows(np.sin(np.arange(40) / 3.0), 16, 4, stride=3)
     params = md.init_params(cfg)
-    with _load_tracing().Tracer() as tracer:
+    with _load_bench("tracing").Tracer() as tracer:
         tr.evaluate(windows, params, cfg)
     # one forward pass per chunk of windows: 7 windows make one chunk
     assert len(windows) == 7 <= tr.FORECAST_CHUNK
@@ -54,7 +55,7 @@ def test_tracer_counts_cli_config_load(tmp_path):
     # cli.main must look the name up in its module on every call
     cfg = tmp_path / "run.cfg"
     cfg.write_text("synthetic.length = 64\n")
-    with _load_tracing().Tracer() as tracer:
+    with _load_bench("tracing").Tracer() as tracer:
         assert cli.main(["decompose", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 0
     assert tracer.calls["config.load_run_config"] == 1
@@ -83,10 +84,45 @@ def test_tracer_counts_one_adam_step_per_minibatch():
                          conv_variant="none")
     windows = tr.make_windows(np.sin(np.arange(60) / 3.0), 16, 4, stride=2)
     tcfg = tr.TrainConfig(epochs=3, batch_size=4, patience=3)
-    with _load_tracing().Tracer() as tracer:
+    with _load_bench("tracing").Tracer() as tracer:
         result = tr.train(cfg, windows, windows, tcfg)
     batches = -(-len(windows) // tcfg.batch_size)
     assert len(windows) % tcfg.batch_size != 0  # a short last batch too
     assert tracer.calls["training.adam_step"] == \
         tracer.calls["training.batch_grads"] == \
         batches * len(result.history)
+
+
+def test_reference_readers_read_what_the_cli_writes(tmp_path):
+    # the benchmark checks CLI output with its own readers; a change to
+    # the checkpoint or CSV format must fail here, not only in the bench
+    ref = _load_bench("reference")
+    series = dataio.multi_frequency_benchmark(length=200, noise_level=0.05,
+                                              seed=3)
+    data = tmp_path / "series.csv"
+    ref.write_series_csv(data, series)
+    assert dataio.load_csv(data, "value").tobytes() == series.tobytes()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "model.n_stacks = 2\nmodel.blocks_per_stack = 1\n"
+        "model.lookback = 16\nmodel.horizon = 4\nmodel.hidden_depth = 1\n"
+        "model.hidden_width = 4\nmodel.conv_variant = \"dcn\"\n"
+        "model.dilations = [1, 2]\ntrain.epochs = 1\nstride = 4\n"
+        f"data = \"{data}\"\n")
+    ckpt = tmp_path / "train" / "checkpoint.txt"
+    assert cli.main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "train")]) == 0
+    assert cli.main(["forecast", "--config", str(cfg), "--checkpoint",
+                     str(ckpt), "--out", str(tmp_path / "fc")]) == 0
+    params, header = tr.load_checkpoint(ckpt)
+    ref_header, ref_params = ref.read_checkpoint(ckpt)
+    assert ref_header == header
+    assert list(ref_params) == list(params)
+    for name, arr in params.items():
+        assert ref_params[name].shape == arr.shape, name
+        assert ref_params[name].tobytes() == arr.tobytes(), name
+    csvs = sorted((tmp_path / "fc").glob("*.csv"))
+    assert len(csvs) == 7  # global, and forecast/backcast/infused per stack
+    for path in csvs:
+        assert ref.read_series_csv(path).tobytes() == \
+            dataio.load_csv(path, "value").tobytes(), path.name

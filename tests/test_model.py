@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,43 @@ class TestModelConfig:
     def test_pool_output_length(self):
         cfg = small_cfg(conv_variant="avgpool", kernel_sizes=(4, 4))
         assert cfg.conv_output_length(1) == 4
+
+
+class TestInitParams:
+    # SHA-256 prefixes of every (name, shape, float64 bytes) that
+    # init_params returned, in order, before it read its names and shapes
+    # from param_shapes: its draw order and its bits must not move.
+    DIGESTS = [
+        (dict(), None, "74649604709ba66bd864badfee9ff0b3"),
+        (dict(n_stacks=2, blocks_per_stack=1, lookback=16, horizon=4,
+              hidden_depth=1, hidden_width=4, conv_variant="none"), None,
+         "91f4c46e06c6b0241699ff20fb81bf4c"),
+        (dict(n_stacks=3, blocks_per_stack=2, lookback=64, horizon=16,
+              conv_variant="dcn", seed=5), None,
+         "fc45bd8cc42539233e0d86291edb6b7b"),
+        (dict(n_stacks=3, blocks_per_stack=2, lookback=48, horizon=8,
+              conv_variant="cnn", theta_backcast_dim=7, theta_forecast_dim=5,
+              hidden_depth=2, seed=3), None,
+         "668483c20d71173c28275a0ca4769167"),
+        (dict(n_stacks=2, blocks_per_stack=3, lookback=32, horizon=6,
+              conv_variant="maxpool", hidden_depth=1, alpha=0.0), None,
+         "742ca27557a0336f5a6460e3f49cf889"),
+        (dict(n_stacks=2, blocks_per_stack=1, lookback=16, horizon=4,
+              hidden_depth=1, hidden_width=4, conv_variant="avgpool"), 9,
+         "aa9373098d5bff37d42d8b3f0704d732"),
+    ]
+
+    @pytest.mark.parametrize("overrides,seed,digest", DIGESTS)
+    def test_values_unchanged(self, overrides, seed, digest):
+        cfg = md.ModelConfig(**overrides)
+        params = md.init_params(cfg, seed=seed)
+        h = hashlib.sha256()
+        for name, arr in params.items():
+            h.update(f"{name} {arr.shape}\n".encode())
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        assert h.hexdigest()[:32] == digest
+        assert {k: v.shape for k, v in params.items()} == \
+            md.param_shapes(cfg)
 
 
 class TestInfuse:

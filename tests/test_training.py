@@ -220,6 +220,18 @@ class TestAdam:
         np.testing.assert_allclose(grads[1], [3.0 * 10.0 / norm], rtol=1e-15)
         assert grads[1][0] > 0.0
 
+    def test_clip_leaves_a_non_finite_gradient_unscaled(self):
+        # scaling by max_norm / inf = 0 would turn the inf into NaN and
+        # zero the finite element; adam_step names the bad tensor instead
+        grads = [np.array([np.inf, 1.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tr._clip_grads(grads, 10.0) == np.inf
+        np.testing.assert_array_equal(grads[0], [np.inf, 1.0])
+        grads = [np.array([np.nan, 1.0]), np.array([2.0])]
+        assert np.isnan(tr._clip_grads(grads, 1.0))
+        np.testing.assert_array_equal(grads[1], [2.0])
+
     @settings(max_examples=40, deadline=None)
     @given(shapes=_tiny_shapes, big_at=st.integers(0, 40),
            with_big=st.booleans(), steps=st.integers(1, 4),
