@@ -180,15 +180,10 @@ class TestCheckpointWriter:
         assert new.read_bytes() == ref.read_bytes()
 
 
-def _valid_text(params, epoch=2, val_loss=0.5):
-    lines = [f"format_version {tr.CHECKPOINT_FORMAT_VERSION}",
-             f"config_hash {tr.config_hash(TINY)}", f"epoch {epoch}",
-             f"val_loss {val_loss!r}"]
-    for name in sorted(params):
-        lines.append(f"tensor {name} "
-                     + ",".join(str(s) for s in params[name].shape))
-        lines.append(" ".join(map(repr, params[name].reshape(-1).tolist())))
-    return "\n".join(lines) + "\n"
+def _valid_text(tmp_path, params):
+    path = tmp_path / "valid.txt"
+    ref_save_checkpoint(path, params, TINY, epoch=2, val_loss=0.5)
+    return path.read_text()
 
 
 # What damage inserts: the separators splitlines() breaks at and file
@@ -239,8 +234,8 @@ class TestCheckpointReader:
     @example(steps=[(0.2, "insert", "\r", 1)])
     @example(steps=[(0.6, "delete", "x", 3)])
     def test_damaged_text(self, tmp_path, steps):
-        self._check(tmp_path,
-                    _damage(_valid_text(self.BASE), steps).encode("utf-8"))
+        text = _valid_text(tmp_path, self.BASE)
+        self._check(tmp_path, _damage(text, steps).encode("utf-8"))
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -249,7 +244,8 @@ class TestCheckpointReader:
     def test_undecodable_bytes(self, tmp_path, steps, bad_at, bad):
         # a decode error anywhere wins over any earlier damage, with the
         # offset that a whole-file read reports
-        data = _damage(_valid_text(self.BASE), steps).encode("utf-8")
+        text = _valid_text(tmp_path, self.BASE)
+        data = _damage(text, steps).encode("utf-8")
         at = int(bad_at * len(data))
         self._check(tmp_path, data[:at] + bad + data[at:])
 
@@ -257,12 +253,13 @@ class TestCheckpointReader:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(params=st.dictionaries(names_st, tensors(), max_size=5))
     def test_valid_files_same_bits(self, tmp_path, params):
-        self._check(tmp_path, _valid_text(params).encode("utf-8"))
+        self._check(tmp_path,
+                    _valid_text(tmp_path, params).encode("utf-8"))
 
     def test_decode_error_after_a_long_prefix(self, tmp_path):
         # beyond the first chunk that line iteration decodes, so the
         # offset a streaming decoder sees differs from the file offset
-        text = _valid_text({"w": np.linspace(-1.0, 1.0, 5000)})
+        text = _valid_text(tmp_path, {"w": np.linspace(-1.0, 1.0, 5000)})
         data = text.encode("utf-8")
         self._check(tmp_path, b"x\n" + data[:-200] + b"\xff" + data[-200:])
 
