@@ -49,29 +49,18 @@ class Dataset:
 def load_csv(path, value_column: str) -> np.ndarray:
     """Read one numeric column, preserving row order.  The first row names
     the columns; a name given twice means its last column.  Blank lines
-    are skipped and not counted as rows."""
+    are skipped and not counted as rows.  A MalformedCsv names the line
+    that holds the fault."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         values = []
-        # The line a MalformedCsv names, as csv.DictReader counted it: the
-        # reader's count after the last row read, except that a blank line
-        # after a blank line does not move it.
-        line_num = 0
         try:
             header = next(reader, [])
-            line_num = reader.line_num
             col = {name: i for i, name in enumerate(header)}.get(value_column)
             if col is None:
                 raise MissingColumn(
                     f"column {value_column!r} not found in {path}")
-            row_no, blank = 0, False
-            for row in reader:
-                if row or not blank:
-                    line_num = reader.line_num
-                blank = not row
-                if blank:
-                    continue
-                row_no += 1
+            for row_no, row in enumerate(filter(None, reader), start=1):
                 try:
                     value = float(row[col])
                 except (IndexError, ValueError):
@@ -81,7 +70,8 @@ def load_csv(path, value_column: str) -> np.ndarray:
                                          f"non-finite value at row {row_no}")
                 values.append(value)
         except csv.Error as exc:
-            raise MalformedCsv(f"{path}: line {line_num}: {exc}") from None
+            raise MalformedCsv(
+                f"{path}: line {reader.line_num}: {exc}") from None
     if not values:
         raise EmptySeries(f"no data rows in {path}")
     return np.array(values, dtype=np.float64)

@@ -60,62 +60,55 @@ class TrainConfig:
             raise ValueError("only MSE training loss is supported")
 
 
-# The most elements one parameter bucket holds.  The benchmark model fits
-# in one bucket; the paper model's 10.2M parameters take dozens.  One
-# buffer per model would be mapped, and page-faulted, afresh on every
-# `train` call, where malloc recycles buckets of this size.
-BUCKET_ELEMENTS = 1 << 17
-
-# The elements of a bucket that Adam's update takes at a time.  Its 14
+# The elements of a vector that Adam's update takes at a time.  Its 14
 # passes then cycle over 6 x 256 KiB of p, g, m, v and scratch, which
-# stays in cache, where passes over whole buckets (6 x 1 MiB) miss it.
-# Of 2^11 to 2^17, 2^15 was the fastest on the paper model.
+# stays in cache, where passes over whole vectors miss it.  Of 2^11 to
+# 2^17, 2^15 was the fastest on the paper model.
 ADAM_CHUNK = 1 << 15
-
-
-class Buckets:
-    """A layout of named tensors in contiguous float64 buffers.  Tensors
-    keep their dict order; consecutive ones share a bucket of at most
-    BUCKET_ELEMENTS elements, and a larger tensor has a bucket of its
-    own.  `slots[b]` lists bucket b's (name, slice, shape)."""
-
-    def __init__(self, tensors: dict):
-        self.slots, self.sizes = [], []
-        for name, value in tensors.items():
-            if not self.sizes or \
-                    self.sizes[-1] + value.size > BUCKET_ELEMENTS:
-                self.slots.append([])
-                self.sizes.append(0)
-            start = self.sizes[-1]
-            self.sizes[-1] += value.size
-            self.slots[-1].append(
-                (name, slice(start, self.sizes[-1]), value.shape))
-
-    def new(self, fill=np.empty) -> list:
-        return [fill(size) for size in self.sizes]
-
-    def views(self, buffers: list) -> dict:
-        """Every tensor as a view into `buffers`, in layout order."""
-        return {name: buf[where].reshape(shape)
-                for buf, slots in zip(buffers, self.slots)
-                for name, where, shape in slots}
-
-    def gather(self, tensors: dict, buffers: list) -> None:
-        """Copy `tensors` into `buffers`, popping each from the dict as
-        its bucket is filled, so that the memory it alone holds is freed
-        as the buckets fill."""
-        for buf, slots in zip(buffers, self.slots):
-            np.concatenate([tensors.pop(name).reshape(-1)
-                            for name, _, _ in slots], out=buf)
 
 
 @dataclass
 class TrainState:
-    buckets: Buckets
-    m: list  # Adam's moments, one buffer per bucket
-    v: list
+    """A model's parameters, gradients and Adam moments, each laid out
+    end to end, in the parameter dict's order, in one float64 vector.
+    `slots` lists each tensor's (name, slice, shape) in them."""
+    weights: np.ndarray
+    grads: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     scratch: tuple  # two buffers of one Adam chunk
+    slots: list = ()
     step: int = 0
+
+    @classmethod
+    def new(cls, size: int) -> "TrainState":
+        chunk = min(ADAM_CHUNK, size)
+        return cls(*(np.empty(size) for _ in range(4)),
+                   (np.empty(chunk), np.empty(chunk)))
+
+    def reset(self, tensors: dict) -> "TrainState":
+        """Lay `tensors` out as the weights, copied, with Adam restarted."""
+        self.slots, end = [], 0
+        for name, value in tensors.items():
+            self.slots.append((name, slice(end, end + value.size),
+                               value.shape))
+            end += value.size
+        self.gather(dict(tensors), self.weights)  # pops from a copy
+        self.m.fill(0.0)
+        self.v.fill(0.0)
+        self.step = 0
+        return self
+
+    def views(self) -> dict:
+        """Every parameter as a view into the weights, in layout order."""
+        return {name: self.weights[where].reshape(shape)
+                for name, where, shape in self.slots}
+
+    def gather(self, tensors: dict, buf: np.ndarray) -> None:
+        """Copy `tensors` into `buf`, emptying the dict, so that it keeps
+        no tensor alive once the copy is made."""
+        np.concatenate([tensors.pop(name).reshape(-1)
+                        for name, _, _ in self.slots], out=buf)
 
 
 @dataclass(frozen=True)
@@ -171,29 +164,20 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.learning_rate * max(0.0, 1.0 - cfg.decay_slope * since)
 
 
-def init_train_state(buckets: Buckets) -> TrainState:
-    chunk = min(ADAM_CHUNK, max(buckets.sizes))
-    return TrainState(buckets=buckets, m=buckets.new(np.zeros),
-                      v=buckets.new(np.zeros),
-                      scratch=(np.empty(chunk), np.empty(chunk)))
-
-
-def adam_step(state: TrainState, params: list, grads: list, lr: float,
-              cfg: TrainConfig) -> None:
-    """In-place bias-corrected Adam update of the parameter buckets.
-    Each chunk of ADAM_CHUNK elements of a bucket takes the per-tensor
-    expressions `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g` and
-    `p -= lr*m_hat / (sqrt(v_hat) + eps)` one operation at a time, in
+def adam_step(state: TrainState, lr: float, cfg: TrainConfig) -> None:
+    """In-place bias-corrected Adam update of `state.weights` from
+    `state.grads`.  Each chunk of ADAM_CHUNK elements takes the
+    per-tensor expressions `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g`
+    and `p -= lr*m_hat / (sqrt(v_hat) + eps)` one operation at a time, in
     their order, so the result is the same bits a per-tensor update
     gives.  Raises NonFiniteGradient, naming the first bad tensor in
     layout order, before it writes anything."""
+    p, g, m, v = state.weights, state.grads, state.m, state.v
     with np.errstate(over="ignore"):
-        for g, slots in zip(grads, state.buckets.slots):
-            # A non-finite element makes the sum of squares non-finite;
-            # finite elements whose squares overflow make it inf too.
-            if np.isfinite(g @ g):
-                continue
-            bad = next((name for name, where, _ in slots
+        # A non-finite element makes the sum of squares non-finite;
+        # finite elements whose squares overflow make it inf too.
+        if not np.isfinite(g @ g):
+            bad = next((name for name, where, _ in state.slots
                         if not np.isfinite(g[where]).all()), None)
             if bad is not None:
                 raise NonFiniteGradient(
@@ -203,74 +187,67 @@ def adam_step(state: TrainState, params: list, grads: list, lr: float,
     t = state.step
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        for lo in range(0, g.size, ADAM_CHUNK):
-            hi = lo + ADAM_CHUNK
-            p_, g_, m_, v_ = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            s1, s2 = (s[:g_.size] for s in state.scratch)
-            m_ *= b1
-            m_ += np.multiply(g_, 1.0 - b1, out=s1)
-            v_ *= b2
-            v_ += np.multiply(np.multiply(g_, 1.0 - b2, out=s1), g_, out=s1)
-            np.multiply(np.divide(m_, c1, out=s1), lr, out=s1)  # lr * m_hat
-            np.sqrt(np.divide(v_, c2, out=s2), out=s2)  # sqrt(v_hat)
-            s2 += cfg.adam_eps
-            p_ -= np.divide(s1, s2, out=s1)
+    for lo in range(0, g.size, ADAM_CHUNK):
+        hi = lo + ADAM_CHUNK
+        p_, g_, m_, v_ = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        s1, s2 = (s[:g_.size] for s in state.scratch)
+        m_ *= b1
+        m_ += np.multiply(g_, 1.0 - b1, out=s1)
+        v_ *= b2
+        v_ += np.multiply(np.multiply(g_, 1.0 - b2, out=s1), g_, out=s1)
+        np.multiply(np.divide(m_, c1, out=s1), lr, out=s1)  # lr * m_hat
+        np.sqrt(np.divide(v_, c2, out=s2), out=s2)  # sqrt(v_hat)
+        s2 += cfg.adam_eps
+        p_ -= np.divide(s1, s2, out=s1)
 
 
-def _clip_grads(grads: list, max_norm: float) -> float:
-    """Scale the gradient buckets in place to a global norm of at most
+def _clip_grads(g: np.ndarray, max_norm: float) -> float:
+    """Scale the gradient vector in place to a norm of at most
     `max_norm`; returns the norm before clipping."""
     with np.errstate(over="ignore"):
-        total = np.sqrt(sum(float(g @ g) for g in grads))
+        total = np.sqrt(g @ g)
     big = 1.0
-    if total == np.inf and all(np.isfinite(g).all() for g in grads):
+    if total == np.inf and np.isfinite(g).all():
         # finite gradients whose squares overflow: take the norm of
         # g / max|g|, so that the factor is not max_norm / inf = 0
-        big = max(float(np.max(np.abs(g), initial=0.0)) for g in grads)
-        total = np.sqrt(sum(float((g / big) @ (g / big)) for g in grads))
+        big = float(np.max(np.abs(g), initial=0.0))
+        total = np.sqrt((g / big) @ (g / big))
     if not np.isfinite(total):
         # an inf or NaN element: scaling would turn an inf into NaN and
         # zero the rest, and adam_step raises NonFiniteGradient naming it
         return float(total)
     if total > max_norm / big:
-        factor = (max_norm / big) / total
-        for g in grads:
-            g *= factor
+        g *= (max_norm / big) / total
     return big * float(total)
 
 
-# The buffers of the largest bucket layout trained so far, by bucket sizes:
-# {sizes: (weights, grads, TrainState)}.  A `train` call takes them with
-# `pop` and puts them back only when it returns, so a call that raises
-# leaves none behind, and no two calls share them.  Reused, the paper
-# model's 4 x 81 MB stay mapped between calls; freed and allocated anew,
-# whether they page-fault again depends on how malloc laid out its heap.
+# The TrainState of the largest model trained so far, by its size:
+# {size: TrainState}.  A `train` call takes it with `pop` and puts it
+# back only when it returns, so a call that raises leaves none behind,
+# and no two calls share it.  Reused, the paper model's 4 x 81 MB stay
+# mapped between calls, where a fresh 81 MB buffer is mapped, and
+# page-faulted, anew on every call.
 _WORKSPACE: dict = {}
 _WORKSPACE_LOCK = threading.Lock()
 
 
-def _take_workspace(buckets: Buckets):
-    """(weights, grads, TrainState) for `buckets`: the held ones when the
-    bucket sizes match, with Adam's moments zeroed, else new ones."""
+def _take_workspace(tensors: dict) -> TrainState:
+    """A TrainState holding a copy of `tensors`: the held one when its
+    size matches, else a new one."""
+    size = sum(value.size for value in tensors.values())
     with _WORKSPACE_LOCK:
-        held = _WORKSPACE.pop(tuple(buckets.sizes), None)
-    if held is None:
-        return buckets.new(), buckets.new(), init_train_state(buckets)
-    weights, grads, old = held
-    for buf in old.m + old.v:
-        buf.fill(0.0)
-    return weights, grads, TrainState(buckets, old.m, old.v, old.scratch)
+        state = _WORKSPACE.pop(size, None)
+    return (state or TrainState.new(size)).reset(tensors)
 
 
-def _keep_workspace(weights: list, grads: list, state: TrainState) -> None:
-    """Hold these buffers for the next call, in place of any held ones of
-    no larger a layout; the process holds at most one workspace."""
-    sizes = tuple(state.buckets.sizes)
+def _keep_workspace(state: TrainState) -> None:
+    """Hold `state` for the next call, in place of any held one of no
+    larger a size; the process holds at most one workspace."""
+    size = state.weights.size
     with _WORKSPACE_LOCK:
-        if all(sum(held) <= sum(sizes) for held in _WORKSPACE):
+        if all(held <= size for held in _WORKSPACE):
             _WORKSPACE.clear()
-            _WORKSPACE[sizes] = (weights, grads, state)
+            _WORKSPACE[size] = state
 
 
 def _batch_grads(batch_idx, windows, params, model_cfg, rng):
@@ -327,20 +304,17 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
           init: Optional[dict] = None) -> TrainResult:
     """Full training loop; returns the checkpoint with the lowest
     validation loss.  Parameters, gradients and Adam's moments live in
-    one `Buckets` layout, and the model reads the parameters as views
-    into their buckets, which come from the process's workspace when
-    their layout matches.  `init` is copied, never written, and the
+    one TrainState, and the model reads the parameters as views into its
+    weight vector; the TrainState is the process's workspace when its
+    size matches.  `init` is copied, never written, and the
     returned parameters are a copy that no later call writes.  Raises
     NonFiniteLoss when no epoch gives a finite validation loss."""
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ValueError("train and validation window sets must be nonempty")
     init = init or md.init_params(model_cfg)
-    buckets = Buckets(init)
-    weights, grads, state = _take_workspace(buckets)
-    buckets.gather(dict(init), weights)  # pops from a copy: `init` stays
-    params = buckets.views(weights)
-    frozen = [(b, where) for b, slots in enumerate(buckets.slots)
-              for name, where, _ in slots
+    state = _take_workspace(init)
+    params = state.views()
+    frozen = [where for name, where, _ in state.slots
               if model_cfg.freeze_conv and ".conv" in name]
     rng = np.random.default_rng(cfg.seed)
     batch_size = min(cfg.batch_size, len(train_windows))
@@ -357,19 +331,20 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
             batch = order[start:start + batch_size]
             loss, leaf_grads = _batch_grads(
                 batch, train_windows, params, model_cfg, rng)
-            buckets.gather(leaf_grads, grads)
-            for b, where in frozen:
-                grads[b][where] = 0.0
+            state.gather(leaf_grads, state.grads)
+            for where in frozen:
+                state.grads[where] = 0.0
             if cfg.grad_clip is not None:
-                _clip_grads(grads, cfg.grad_clip)
-            adam_step(state, weights, grads, lr, cfg)
+                _clip_grads(state.grads, cfg.grad_clip)
+            adam_step(state, lr, cfg)
             epoch_losses.append(loss)
         train_loss = float(np.mean(epoch_losses))
         val_loss = evaluate(val_windows, params, model_cfg)["mse"]
         history.append((epoch, lr, train_loss, val_loss))
         if val_loss < best_val:
             best_val, best_epoch, since_best = val_loss, epoch, 0
-            best_params = buckets.views([w.copy() for w in weights])
+            # per tensor: one whole-vector copy would be mapped anew
+            best_params = {k: x.copy() for k, x in params.items()}
         else:
             since_best += 1
             if since_best >= cfg.patience:
@@ -378,7 +353,7 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
     if best_params is None:  # NaN and inf never beat best_val = inf
         raise NonFiniteLoss(f"no finite validation loss after "
                             f"{len(history)} epoch(s)")
-    _keep_workspace(weights, grads, state)
+    _keep_workspace(state)
     return TrainResult(params=best_params, history=history,
                        best_epoch=best_epoch, best_val=best_val,
                        stopped_early=stopped_early)
@@ -463,7 +438,7 @@ def _read_checkpoint(path, fh):
     while line is not None:
         fields = line.split(" ")
         _, value_line = next(lines, (None, None))
-        if len(fields) != 3 or value_line is None:
+        if len(fields) != 3 or fields[0] != "tensor" or value_line is None:
             raise corrupt(f"line {no}: expected 'tensor NAME SHAPE' "
                           f"followed by a value line")
         _, name, shape_s = fields

@@ -520,6 +520,17 @@ class TestTrainForecastEval:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(ckpt) in err
 
+    def test_tensor_header_not_starting_with_tensor(self, tiny_config,
+                                                    tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.txt"
+        ckpt.write_text("tensor w 2\n1.0 2.0\nbogus b 1\n3.0\n")
+        capsys.readouterr()
+        assert cli.main(["forecast", "--config", str(tiny_config),
+                         "--out", str(tmp_path / "fc"),
+                         "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{ckpt}: line 3: " in err, err
+
     def test_seed_override_changes_result(self, tiny_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["train", "--config", str(tiny_config),

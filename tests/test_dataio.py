@@ -4,6 +4,7 @@ import pytest
 from wavestack import dataio
 from wavestack.errors import (
     EmptySeries,
+    MalformedCsv,
     MissingColumn,
     NonNumericCell,
     PartitionTooShort,
@@ -54,6 +55,13 @@ class TestLoadCsv:
         path = tmp_path / "series.csv"
         path.write_text("t,value\n")
         with pytest.raises(EmptySeries):
+            dataio.load_csv(path, "value")
+
+    def test_malformed_names_the_line_that_holds_the_fault(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("t,value\n0,1\n1," + "1" * 131073 + "\n")
+        with pytest.raises(MalformedCsv, match=r": line 3: field larger "
+                                               r"than field limit"):
             dataio.load_csv(path, "value")
 
 

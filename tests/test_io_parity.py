@@ -60,7 +60,8 @@ def ref_load_checkpoint(path, model_cfg=None):
     params = {}
     while i < len(lines):
         fields = lines[i].split(" ")
-        if len(fields) != 3 or i + 1 == len(lines):
+        if len(fields) != 3 or fields[0] != "tensor" or \
+                i + 1 == len(lines):
             raise CorruptCheckpoint(
                 f"{path}: line {i + 1}: expected 'tensor NAME SHAPE' "
                 f"followed by a value line")
@@ -109,7 +110,7 @@ def ref_load_csv(path, value_column):
                 values.append(value)
         except csv.Error as exc:
             raise MalformedCsv(
-                f"{path}: line {reader.line_num}: {exc}") from None
+                f"{path}: line {reader.reader.line_num}: {exc}") from None
     if not values:
         raise EmptySeries(f"no data rows in {path}")
     return np.array(values, dtype=np.float64)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from wavestack import training as tr
 from wavestack.autodiff import Tape
 from wavestack.errors import (
     ConfigMismatch,
+    CorruptCheckpoint,
     NonFiniteGradient,
     NonFiniteLoss,
     SeriesTooShort,
@@ -124,20 +126,18 @@ class TestSchedule:
             tr.TrainConfig(patience=0)
 
 
-def _bucketed(params):
-    """A copy of `params` in a fresh bucket layout: (buckets, parameter
-    buffers, their views by name, train state)."""
-    buckets = tr.Buckets(params)
-    weights = buckets.new()
-    buckets.gather(dict(params), weights)
-    return buckets, weights, buckets.views(weights), \
-        tr.init_train_state(buckets)
+def _state(params):
+    """A fresh TrainState holding a copy of `params`, and its weights'
+    views by name."""
+    state = tr.TrainState.new(sum(x.size for x in params.values()))
+    state.reset(params)
+    return state, state.views()
 
 
-def _gathered(buckets, grads):
-    out = buckets.new()
-    buckets.gather(dict(grads), out)
-    return out
+def _step(state, grads, lr, cfg):
+    """One Adam step of `state` from the gradient tensors `grads`."""
+    state.gather(dict(grads), state.grads)
+    tr.adam_step(state, lr, cfg)
 
 
 def _per_tensor_adam(params, grads, m, v, t, lr, cfg):
@@ -166,71 +166,64 @@ _tiny_shapes = st.lists(st.lists(st.integers(1, 6), min_size=1,
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         cfg = tr.TrainConfig()
-        buckets, weights, params, state = _bucketed(
-            {"w": np.array([1.0, 1.0, 1.0])})
-        grads = _gathered(buckets, {"w": np.array([0.3, -2.0, 0.0])})
-        tr.adam_step(state, weights, grads, 0.01, cfg)
+        state, params = _state({"w": np.array([1.0, 1.0, 1.0])})
+        _step(state, {"w": np.array([0.3, -2.0, 0.0])}, 0.01, cfg)
         # after bias correction the first update is lr * sign(g), up to eps
         np.testing.assert_allclose(params["w"],
                                    [1.0 - 0.01, 1.0 + 0.01, 1.0], atol=1e-6)
 
     def test_zero_gradient_no_motion(self):
         cfg = tr.TrainConfig()
-        buckets, weights, params, state = _bucketed({"w": np.array([2.0])})
+        state, params = _state({"w": np.array([2.0])})
         for _ in range(5):
-            tr.adam_step(state, weights,
-                         _gathered(buckets, {"w": np.zeros(1)}), 0.1, cfg)
+            _step(state, {"w": np.zeros(1)}, 0.1, cfg)
         np.testing.assert_array_equal(params["w"], [2.0])
 
     def test_converges_on_quadratic(self):
         cfg = tr.TrainConfig()
-        buckets, weights, params, state = _bucketed({"w": np.array([5.0])})
+        state, params = _state({"w": np.array([5.0])})
         for _ in range(2000):
-            tr.adam_step(state, weights,
-                         _gathered(buckets, {"w": 2.0 * params["w"]}),
-                         0.05, cfg)
+            _step(state, {"w": 2.0 * params["w"]}, 0.05, cfg)
         assert abs(params["w"][0]) < 1e-3
 
     def test_non_finite_gradient_raises(self):
         cfg = tr.TrainConfig()
-        buckets, weights, _, state = _bucketed({"w": np.array([1.0])})
+        state, _ = _state({"w": np.array([1.0])})
         with pytest.raises(NonFiniteGradient):
-            tr.adam_step(state, weights,
-                         _gathered(buckets, {"w": np.array([np.nan])}),
-                         0.1, cfg)
+            _step(state, {"w": np.array([np.nan])}, 0.1, cfg)
 
     def test_grad_clip(self):
-        grads = [np.array([3.0, 4.0])]  # norm 5
+        grads = np.array([3.0, 4.0])  # norm 5
         tr._clip_grads(grads, 1.0)
-        np.testing.assert_allclose(grads[0], [0.6, 0.8])
-        grads = [np.array([0.3, 0.4])]
+        np.testing.assert_allclose(grads, [0.6, 0.8])
+        grads = np.array([0.3, 0.4])
         tr._clip_grads(grads, 1.0)
-        np.testing.assert_allclose(grads[0], [0.3, 0.4])
+        np.testing.assert_allclose(grads, [0.3, 0.4])
 
     def test_clip_norm_whose_square_overflows(self):
         # the sum of squares is inf, the norm is not: the plain factor
         # max_norm / inf would zero every gradient
-        grads = [np.array([1e200, 1e200]), np.array([3.0])]
+        grads = np.array([1e200, 1e200, 3.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             norm = tr._clip_grads(grads, 10.0)
         assert norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
-        np.testing.assert_allclose(grads[0], [10.0 / np.sqrt(2.0)] * 2,
+        np.testing.assert_allclose(grads[:2], [10.0 / np.sqrt(2.0)] * 2,
                                    rtol=1e-15)
-        np.testing.assert_allclose(grads[1], [3.0 * 10.0 / norm], rtol=1e-15)
-        assert grads[1][0] > 0.0
+        np.testing.assert_allclose(grads[2], 3.0 * 10.0 / norm, rtol=1e-15)
+        assert grads[2] > 0.0
 
     def test_clip_leaves_a_non_finite_gradient_unscaled(self):
         # scaling by max_norm / inf = 0 would turn the inf into NaN and
         # zero the finite element; adam_step names the bad tensor instead
-        grads = [np.array([np.inf, 1.0])]
+        grads = np.array([np.inf, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert tr._clip_grads(grads, 10.0) == np.inf
-        np.testing.assert_array_equal(grads[0], [np.inf, 1.0])
-        grads = [np.array([np.nan, 1.0]), np.array([2.0])]
+        np.testing.assert_array_equal(grads, [np.inf, 1.0])
+        grads = np.array([np.nan, 1.0, 2.0])
         assert np.isnan(tr._clip_grads(grads, 1.0))
-        np.testing.assert_array_equal(grads[1], [2.0])
+        np.testing.assert_array_equal(grads[1:], [1.0, 2.0])
 
     @settings(max_examples=40, deadline=None)
     @given(shapes=_tiny_shapes, big_at=st.integers(0, 40),
@@ -238,26 +231,23 @@ class TestAdam:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_per_tensor_adam(self, shapes, big_at, with_big, steps,
                                      seed):
-        """Bucketed Adam gives the per-tensor update's bits, over many
-        tiny tensors and one larger than a bucket."""
+        """Adam over one vector gives the per-tensor update's bits, over
+        many tiny tensors and one larger than an Adam chunk."""
         if with_big:
             shapes.insert(min(big_at, len(shapes)),
-                          (tr.BUCKET_ELEMENTS + 1 + big_at,))
+                          (tr.ADAM_CHUNK + 1 + big_at,))
         rng = np.random.default_rng(seed)
         cfg = tr.TrainConfig()
         init = _random_tensors(shapes, rng)
-        buckets, weights, params, state = _bucketed(init)
+        state, params = _state(init)
         ref = {k: v.copy() for k, v in init.items()}
         m = {k: np.zeros_like(v) for k, v in init.items()}
         v = {k: np.zeros_like(x) for k, x in init.items()}
-        if with_big:
-            assert len(buckets.sizes) > 1
-        assert max(buckets.sizes) <= tr.BUCKET_ELEMENTS or with_big
         for t in range(1, steps + 1):
             grads = _random_tensors(shapes, rng, scale=10.0 ** rng.uniform(
                 -6, 3))
             lr = float(rng.uniform(1e-5, 1e-1))
-            tr.adam_step(state, weights, _gathered(buckets, grads), lr, cfg)
+            _step(state, grads, lr, cfg)
             _per_tensor_adam(ref, grads, m, v, t, lr, cfg)
             for name in ref:
                 np.testing.assert_array_equal(params[name], ref[name], name)
@@ -270,15 +260,15 @@ class TestAdam:
            steps=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
     @example(lead=5, sizes=[11, 2 * tr.ADAM_CHUNK + 3], steps=2, seed=0)
     def test_chunked_matches_per_tensor_adam(self, lead, sizes, steps, seed):
-        """Adam over chunks of a bucket gives the per-tensor bits when
-        tensors straddle chunk edges and buckets are no multiple of a
+        """Adam over chunks of the vector gives the per-tensor bits when
+        tensors straddle chunk edges and the vector is no multiple of a
         chunk."""
         sizes = [tr.ADAM_CHUNK - lead, lead + sizes[0]] + sizes[1:]
         rng = np.random.default_rng(seed)
         cfg = tr.TrainConfig()
         init = _random_tensors([(n,) for n in sizes], rng)
-        buckets, weights, params, state = _bucketed(init)
-        _, second, _ = buckets.slots[0][1]  # starts lead before a chunk edge
+        state, params = _state(init)
+        _, second, _ = state.slots[1]  # starts lead before a chunk edge
         assert second.start < tr.ADAM_CHUNK < second.stop
         ref = {k: x.copy() for k, x in init.items()}
         m = {k: np.zeros_like(x) for k, x in init.items()}
@@ -287,7 +277,7 @@ class TestAdam:
             grads = _random_tensors([(n,) for n in sizes], rng,
                                     scale=10.0 ** rng.uniform(-6, 3))
             lr = float(rng.uniform(1e-5, 1e-1))
-            tr.adam_step(state, weights, _gathered(buckets, grads), lr, cfg)
+            _step(state, grads, lr, cfg)
             _per_tensor_adam(ref, grads, m, v, t, lr, cfg)
             for name in ref:
                 np.testing.assert_array_equal(params[name], ref[name], name)
@@ -298,51 +288,40 @@ class TestAdam:
         cfg = tr.TrainConfig()
         init = {"w": np.array([1.0, -2.0, 0.5]), "b": np.array([4.0])}
         grads = {"w": np.array([1e154, -1e154, 3.0]), "b": np.array([1.0])}
-        buckets, weights, params, state = _bucketed(init)
+        state, params = _state(init)
         ref = {k: x.copy() for k, x in init.items()}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tr.adam_step(state, weights, _gathered(buckets, grads), 0.01, cfg)
+            _step(state, grads, 0.01, cfg)
         _per_tensor_adam(ref, grads, {k: 0.0 for k in ref},
                          {k: 0.0 for k in ref}, 1, 0.01, cfg)
         for name in ref:
             np.testing.assert_array_equal(params[name], ref[name], name)
         grads["b"][0] = np.inf  # an inf element among them still raises
         with pytest.raises(NonFiniteGradient, match="'b' at step 1$"):
-            tr.adam_step(state, weights, _gathered(buckets, grads), 0.01, cfg)
-
-    def test_each_tensor_larger_than_a_bucket_is_alone(self):
-        big = tr.BUCKET_ELEMENTS + 1
-        buckets = tr.Buckets({"a": np.zeros(3), "b": np.zeros(big),
-                              "c": np.zeros((2, 5)), "d": np.zeros(big),
-                              "e": np.zeros(4)})
-        assert [[name for name, _, _ in slots] for slots in buckets.slots] \
-            == [["a"], ["b"], ["c"], ["d"], ["e"]]
-        assert buckets.sizes == [3, big, 10, big, 4]
+            _step(state, grads, 0.01, cfg)
 
     @pytest.mark.parametrize("bad", [("c",), ("d",), ("c", "d"), ("d", "e")])
     def test_non_finite_in_last_bucket_names_first_bad_parameter(self, bad):
+        # the bad tensors follow one larger than an Adam chunk
         cfg = tr.TrainConfig()
         rng = np.random.default_rng(0)
-        shapes = [(3,), (tr.BUCKET_ELEMENTS + 1,), (2, 3), (4,), (5,)]
+        shapes = [(3,), (tr.ADAM_CHUNK + 1,), (2, 3), (4,), (5,)]
         init = dict(zip("abcde", _random_tensors(shapes, rng).values()))
-        buckets, weights, params, state = _bucketed(init)
-        assert [name for name, _, _ in buckets.slots[-1]] == ["c", "d", "e"]
+        state, params = _state(init)
         for _ in range(2):
-            tr.adam_step(state, weights, _gathered(
-                buckets, {k: rng.normal(size=x.shape)
-                          for k, x in init.items()}), 0.01, cfg)
+            _step(state, {k: rng.normal(size=x.shape)
+                          for k, x in init.items()}, 0.01, cfg)
         before = {k: x.copy() for k, x in params.items()}
         grads = {k: rng.normal(size=x.shape) for k, x in init.items()}
         for k, poison in zip(bad, (np.nan, np.inf)):
             grads[k][-1] = poison
-        # the parent's per-tensor check named the first bad tensor in
-        # parameter order and the number of steps already taken
+        # the per-tensor check named the first bad tensor in parameter
+        # order and the number of steps already taken
         with pytest.raises(NonFiniteGradient,
                            match=f"^non-finite gradient in parameter "
                                  f"'{bad[0]}' at step 2$"):
-            tr.adam_step(state, weights, _gathered(buckets, grads), 0.01,
-                         cfg)
+            _step(state, grads, 0.01, cfg)
         assert state.step == 2
         for k, x in params.items():
             np.testing.assert_array_equal(x, before[k])
@@ -351,31 +330,27 @@ class TestAdam:
     @given(shapes=_tiny_shapes, seed=st.integers(0, 2 ** 32 - 1))
     def test_clip_norm_is_per_tensor_norm(self, shapes, seed):
         rng = np.random.default_rng(seed)
-        shapes.append((tr.BUCKET_ELEMENTS + 1,))
+        shapes.append((tr.ADAM_CHUNK + 1,))
         grads = _random_tensors(shapes, rng)
-        buckets = tr.Buckets(grads)
         per_tensor = np.sqrt(sum(float(np.sum(g * g))
                                  for g in grads.values()))
-        gathered = _gathered(buckets, grads)
-        norm = tr._clip_grads(gathered, np.inf)
+        norm = tr._clip_grads(np.concatenate(
+            [g.reshape(-1) for g in grads.values()]), np.inf)
         assert norm == pytest.approx(per_tensor, rel=1e-12, abs=0)
 
     @settings(max_examples=30, deadline=None)
     @given(shapes=_tiny_shapes, seed=st.integers(0, 2 ** 32 - 1))
     def test_clip_fires_only_above_the_bound(self, shapes, seed):
         rng = np.random.default_rng(seed)
-        grads = _random_tensors(shapes, rng)
-        buckets = tr.Buckets(grads)
-        original = _gathered(buckets, grads)
-        norm = tr._clip_grads([g.copy() for g in original], np.inf)
-        kept = [g.copy() for g in original]
+        original = np.concatenate([g.reshape(-1) for g in _random_tensors(
+            shapes, rng).values()])
+        norm = tr._clip_grads(original.copy(), np.inf)
+        kept = original.copy()
         assert tr._clip_grads(kept, norm * (1.0 + 1e-9)) == norm
-        for a, b in zip(kept, original):
-            np.testing.assert_array_equal(a, b)
-        clipped = [g.copy() for g in original]
+        np.testing.assert_array_equal(kept, original)
+        clipped = original.copy()
         tr._clip_grads(clipped, norm / 2.0)
-        for a, b in zip(clipped, original):
-            np.testing.assert_array_equal(a, b * ((norm / 2.0) / norm))
+        np.testing.assert_array_equal(clipped, original * ((norm / 2.0) / norm))
         assert tr._clip_grads(clipped, np.inf) == \
             pytest.approx(norm / 2.0, rel=1e-12)
 
@@ -516,6 +491,27 @@ class TestTrainLoop:
         for name, value in kept.items():
             np.testing.assert_array_equal(result.params[name], value, name)
 
+    def test_trained_bits_unchanged(self):
+        # the SHA-256 prefix of every (name, shape, float64 bytes) this
+        # run returned when its 138,486 parameters were split into two
+        # buffers of at most 2^17 elements: one buffer per role must not
+        # move a bit while clipping is off
+        cfg = md.ModelConfig(n_stacks=2, blocks_per_stack=1, lookback=256,
+                             horizon=8, hidden_depth=1, hidden_width=8,
+                             conv_variant="cnn", kernel_sizes=(3, 3),
+                             dilations=(1,), freeze_conv=True,
+                             dropout_rate=0.1)
+        tcfg = tr.TrainConfig(learning_rate=1e-2, epochs=3, batch_size=8,
+                              grad_clip=None, seed=3)
+        result = tr.train(cfg, _toy_windows(n=300, lookback=256, horizon=8),
+                          _toy_windows(n=280, lookback=256, horizon=8,
+                                       seed=1), tcfg)
+        h = hashlib.sha256()
+        for name, arr in result.params.items():
+            h.update(f"{name} {arr.shape}\n".encode())
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        assert h.hexdigest()[:32] == "085ac042791e0197e07cbd978f2dcbc4"
+
     def test_empty_windows_rejected(self):
         windows = _toy_windows()
         empty = tr.WindowSet(inputs=[], targets=[], offsets=[])
@@ -525,7 +521,7 @@ class TestTrainLoop:
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# two models whose bucket layouts differ, and the run that trains them
+# two models of different sizes, and the run that trains them
 SMALL = dict(lookback=16, conv_variant="dcn", kernel_sizes=(3, 3),
              dropout_rate=0.1)
 LARGE = dict(SMALL, hidden_width=12)
@@ -543,7 +539,7 @@ class TestWorkspace:
     def empty_workspace(self, monkeypatch):
         monkeypatch.setattr(tr, "_WORKSPACE", {})
 
-    def _held_sizes(self):
+    def _held_size(self):
         assert len(tr._WORKSPACE) <= 1
         return next(iter(tr._WORKSPACE), None)
 
@@ -563,11 +559,12 @@ class TestWorkspace:
         held = []
         for model in (a, b, a):
             result = _train(model)
-            held.append(tr._WORKSPACE[self._held_sizes()][0])  # weights
-        # the largest layout stays held; with a the larger, its third
+            held.append(tr._WORKSPACE[self._held_size()].weights)
+        # the largest model stays held; with a the larger, its third
         # call trained in the buffers of its first
-        large = tuple(tr.Buckets(md.init_params(tiny_cfg(**LARGE))).sizes)
-        assert self._held_sizes() == large
+        large = sum(x.size for x in md.init_params(tiny_cfg(**LARGE))
+                    .values())
+        assert self._held_size() == large
         assert (held[0] is held[2]) == (a is LARGE)
         assert list(result.params) == list(fresh)
         for name, value in result.params.items():
@@ -577,8 +574,9 @@ class TestWorkspace:
         first = _train(SMALL)
         kept = {k: x.copy() for k, x in first.params.items()}
         second = _train(SMALL, init=first.params)
-        weights, grads, state = tr._WORKSPACE[self._held_sizes()]
-        live = weights + grads + state.m + state.v + list(state.scratch)
+        state = tr._WORKSPACE[self._held_size()]
+        live = [state.weights, state.grads, state.m, state.v,
+                *state.scratch]
         for name, value in first.params.items():
             np.testing.assert_array_equal(value, kept[name], name)
             for other in list(second.params.values()) + live:
@@ -602,7 +600,7 @@ class TestWorkspace:
         monkeypatch.setattr(tr, "_batch_grads", poisoned)
         with pytest.raises(NonFiniteGradient):
             _train(SMALL)
-        assert self._held_sizes() is None
+        assert self._held_size() is None
         monkeypatch.setattr(tr, "_batch_grads", batch_grads)
         again = _train(SMALL)
         for name, value in clean.params.items():
@@ -743,6 +741,13 @@ class TestCheckpoint:
         tr.save_checkpoint(p1, params, cfg)
         tr.save_checkpoint(p2, params, cfg)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_tensor_header_must_start_with_tensor(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        path.write_text("tensor w 2\n1.0 2.0\nbogus b 1\n3.0\n")
+        with pytest.raises(CorruptCheckpoint,
+                           match=r": line 3: expected 'tensor NAME SHAPE'"):
+            tr.load_checkpoint(path)
 
     def test_config_hash_stable_and_sensitive(self):
         assert tr.config_hash(tiny_cfg()) == tr.config_hash(tiny_cfg())
