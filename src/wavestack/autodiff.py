@@ -4,8 +4,10 @@ Values are double-precision numpy arrays.  Every operation works on the
 last axis, so one window [T] and a batch of windows [B, T] take the same
 path.  Every operation appends a node to a Tape; Tape.backward walks the
 nodes in reverse append order exactly once, accumulating (never
-overwriting) gradients into fan-out tensors.  An InferenceTape keeps the
-values and records nothing, for forward passes that need no gradient.
+overwriting) gradients into fan-out tensors.  A VJP whose second
+parameter is `out` can write its result into a buffer the caller of
+backward gives.  An InferenceTape keeps the values and records nothing,
+for forward passes that need no gradient.
 """
 
 from __future__ import annotations
@@ -41,13 +43,21 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def backward(self, loss: Tensor):
+    def backward(self, loss: Tensor, into=None):
         """Populate .grad on every node reachable from `loss`.  A gradient
         is allocated when a node is first reached; a leaf never reached
-        gets zeros.  Gradients are never updated in place, because the
-        identity VJPs hand one array to several nodes."""
+        gets zeros.  Allocated gradients are never updated in place,
+        because the identity VJPs hand one array to several nodes.
+
+        `into` maps leaf tensors to buffers of their shape, which become
+        their .grad: a VJP whose second parameter is `out` writes its
+        result straight into the buffer, as numpy's `out=` does, any
+        other is copied there, a later contribution is added in place,
+        and the buffer of a leaf never reached is zero-filled.  The bits
+        are those of the allocated gradients."""
         if loss.value.ndim != 0 and loss.value.size != 1:
             raise ShapeMismatch("backward requires a scalar loss")
+        into = into or {}
         for node in self.nodes:
             node.grad = None
         loss.grad = np.ones_like(loss.value)
@@ -55,12 +65,26 @@ class Tape:
             if node.grad is None:
                 continue
             for parent, vjp in node.parents:
-                contribution = vjp(node.grad)
-                parent.grad = contribution if parent.grad is None \
-                    else parent.grad + contribution
+                buf = into.get(parent)
+                if buf is None:
+                    contribution = vjp(node.grad)
+                    parent.grad = contribution if parent.grad is None \
+                        else parent.grad + contribution
+                elif parent.grad is not None:
+                    buf += vjp(node.grad)
+                elif vjp.__code__.co_varnames[1:2] == ("out",):
+                    parent.grad = vjp(node.grad, out=buf)
+                else:
+                    np.copyto(buf, vjp(node.grad))
+                    parent.grad = buf
         for node in self.nodes:
             if node.grad is None and not node.parents:
-                node.grad = np.zeros_like(node.value)
+                buf = into.get(node)
+                if buf is None:
+                    node.grad = np.zeros_like(node.value)
+                else:
+                    buf.fill(0.0)
+                    node.grad = buf
 
 
 class InferenceTape(Tape):
@@ -85,9 +109,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape) -> Tensor:
     y = x.value @ w.value.T + b.value
     batched = x.value.ndim == 2
     return tape.tensor(y, (
-        (w, lambda g, xv=x.value: g.T @ xv if batched else np.outer(g, xv)),
+        (w, lambda g, out=None, xv=x.value:
+            np.matmul(g.T, xv, out=out) if batched
+            else np.outer(g, xv, out=out)),
         (x, lambda g, wv=w.value: g @ wv),
-        (b, lambda g: g.sum(axis=0) if batched else g),
+        (b, (lambda g, out=None: g.sum(axis=0, out=out)) if batched
+            else (lambda g: g)),
     ))
 
 
@@ -139,7 +166,8 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int,
         return gx
 
     return tape.tensor(y, (
-        (kernel, lambda g, tp=taps: tp @ g.reshape(-1)),
+        (kernel, lambda g, out=None, tp=taps:
+            np.matmul(tp, g.reshape(-1), out=out)),
         (x, vjp_x),
     ))
 

@@ -58,6 +58,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.loss != "mse":
             raise ValueError("only MSE training loss is supported")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not self.adam_eps > 0.0:
+            raise ValueError("adam_eps must be positive")
 
 
 # The elements of a vector that Adam's update takes at a time.  Its 14
@@ -71,44 +76,42 @@ ADAM_CHUNK = 1 << 15
 class TrainState:
     """A model's parameters, gradients and Adam moments, each laid out
     end to end, in the parameter dict's order, in one float64 vector.
-    `slots` lists each tensor's (name, slice, shape) in them."""
-    weights: np.ndarray
+    `slots` lists each tensor's (name, slice, shape) in them.  The
+    weights are a vector of each `reset`'s own; the other buffers are
+    reused from one reset to the next."""
     grads: np.ndarray
     m: np.ndarray
     v: np.ndarray
     scratch: tuple  # two buffers of one Adam chunk
+    weights: Optional[np.ndarray] = None
     slots: list = ()
     step: int = 0
 
     @classmethod
     def new(cls, size: int) -> "TrainState":
         chunk = min(ADAM_CHUNK, size)
-        return cls(*(np.empty(size) for _ in range(4)),
+        return cls(*(np.empty(size) for _ in range(3)),
                    (np.empty(chunk), np.empty(chunk)))
 
     def reset(self, tensors: dict) -> "TrainState":
-        """Lay `tensors` out as the weights, copied, with Adam restarted."""
+        """Lay `tensors` out, copied, in a new weight vector, with Adam
+        restarted: its first step writes the moments whole."""
         self.slots, end = [], 0
         for name, value in tensors.items():
             self.slots.append((name, slice(end, end + value.size),
                                value.shape))
             end += value.size
-        self.gather(dict(tensors), self.weights)  # pops from a copy
-        self.m.fill(0.0)
-        self.v.fill(0.0)
+        self.weights = np.concatenate(
+            [value.reshape(-1) for value in tensors.values()],
+            dtype=np.float64)
         self.step = 0
         return self
 
-    def views(self) -> dict:
-        """Every parameter as a view into the weights, in layout order."""
-        return {name: self.weights[where].reshape(shape)
+    def views(self, buf: np.ndarray) -> dict:
+        """Every parameter as a view into `buf`, one of the vectors of
+        this layout, in layout order."""
+        return {name: buf[where].reshape(shape)
                 for name, where, shape in self.slots}
-
-    def gather(self, tensors: dict, buf: np.ndarray) -> None:
-        """Copy `tensors` into `buf`, emptying the dict, so that it keeps
-        no tensor alive once the copy is made."""
-        np.concatenate([tensors.pop(name).reshape(-1)
-                        for name, _, _ in self.slots], out=buf)
 
 
 @dataclass(frozen=True)
@@ -164,25 +167,37 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.learning_rate * max(0.0, 1.0 - cfg.decay_slope * since)
 
 
-def adam_step(state: TrainState, lr: float, cfg: TrainConfig) -> None:
+def _sum_squares(g: np.ndarray) -> float:
+    """g @ g, where finite elements whose squares overflow give inf
+    without a warning."""
+    with np.errstate(over="ignore"):
+        return g @ g
+
+
+def adam_step(state: TrainState, lr: float, cfg: TrainConfig,
+              sq: Optional[float] = None) -> None:
     """In-place bias-corrected Adam update of `state.weights` from
     `state.grads`.  Each chunk of ADAM_CHUNK elements takes the
     per-tensor expressions `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g`
     and `p -= lr*m_hat / (sqrt(v_hat) + eps)` one operation at a time, in
     their order, so the result is the same bits a per-tensor update
-    gives.  Raises NonFiniteGradient, naming the first bad tensor in
-    layout order, before it writes anything."""
+    gives.  The first step after `reset` takes m and v as zeros without
+    reading them: it writes `(1-b1)*g + 0.0` and `(1-b2)*g*g + 0.0`,
+    the bits of `b*0.0 + x` for b >= 0, signed zeros included.
+
+    `sq` is the gradients' sum of squares, `_sum_squares(state.grads)`
+    when not given; a non-finite element makes it non-finite (so do
+    finite elements whose squares overflow).  Raises NonFiniteGradient,
+    naming the first bad tensor in layout order, before it writes
+    anything."""
     p, g, m, v = state.weights, state.grads, state.m, state.v
-    with np.errstate(over="ignore"):
-        # A non-finite element makes the sum of squares non-finite;
-        # finite elements whose squares overflow make it inf too.
-        if not np.isfinite(g @ g):
-            bad = next((name for name, where, _ in state.slots
-                        if not np.isfinite(g[where]).all()), None)
-            if bad is not None:
-                raise NonFiniteGradient(
-                    f"non-finite gradient in parameter {bad!r} at step "
-                    f"{state.step}")
+    if not np.isfinite(_sum_squares(g) if sq is None else sq):
+        bad = next((name for name, where, _ in state.slots
+                    if not np.isfinite(g[where]).all()), None)
+        if bad is not None:
+            raise NonFiniteGradient(
+                f"non-finite gradient in parameter {bad!r} at step "
+                f"{state.step}")
     state.step += 1
     t = state.step
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
@@ -191,21 +206,28 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig) -> None:
         hi = lo + ADAM_CHUNK
         p_, g_, m_, v_ = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
         s1, s2 = (s[:g_.size] for s in state.scratch)
-        m_ *= b1
-        m_ += np.multiply(g_, 1.0 - b1, out=s1)
-        v_ *= b2
-        v_ += np.multiply(np.multiply(g_, 1.0 - b2, out=s1), g_, out=s1)
+        if t == 1:  # m and v are zeros, not read
+            np.add(np.multiply(g_, 1.0 - b1, out=s1), 0.0, out=m_)
+            np.add(np.multiply(np.multiply(g_, 1.0 - b2, out=s1), g_,
+                               out=s1), 0.0, out=v_)
+        else:
+            m_ *= b1
+            m_ += np.multiply(g_, 1.0 - b1, out=s1)
+            v_ *= b2
+            v_ += np.multiply(np.multiply(g_, 1.0 - b2, out=s1), g_,
+                              out=s1)
         np.multiply(np.divide(m_, c1, out=s1), lr, out=s1)  # lr * m_hat
         np.sqrt(np.divide(v_, c2, out=s2), out=s2)  # sqrt(v_hat)
         s2 += cfg.adam_eps
         p_ -= np.divide(s1, s2, out=s1)
 
 
-def _clip_grads(g: np.ndarray, max_norm: float) -> float:
+def _clip_grads(g: np.ndarray, max_norm: float,
+                sq: Optional[float] = None) -> float:
     """Scale the gradient vector in place to a norm of at most
-    `max_norm`; returns the norm before clipping."""
-    with np.errstate(over="ignore"):
-        total = np.sqrt(g @ g)
+    `max_norm`; returns the norm before clipping.  `sq` is the vector's
+    sum of squares, `_sum_squares(g)` when not given."""
+    total = np.sqrt(_sum_squares(g) if sq is None else sq)
     big = 1.0
     if total == np.inf and np.isfinite(g).all():
         # finite gradients whose squares overflow: take the norm of
@@ -222,11 +244,11 @@ def _clip_grads(g: np.ndarray, max_norm: float) -> float:
 
 
 # The TrainState of the largest model trained so far, by its size:
-# {size: TrainState}.  A `train` call takes it with `pop` and puts it
+# {size: TrainState}, held without its weights, which the call that
+# trained them returns.  A `train` call takes it with `pop` and puts it
 # back only when it returns, so a call that raises leaves none behind,
-# and no two calls share it.  Reused, the paper model's 4 x 81 MB stay
-# mapped between calls, where a fresh 81 MB buffer is mapped, and
-# page-faulted, anew on every call.
+# and no two calls share it.  Reused, the paper model's 3 x 81 MB stay
+# mapped between calls.
 _WORKSPACE: dict = {}
 _WORKSPACE_LOCK = threading.Lock()
 
@@ -243,16 +265,19 @@ def _take_workspace(tensors: dict) -> TrainState:
 def _keep_workspace(state: TrainState) -> None:
     """Hold `state` for the next call, in place of any held one of no
     larger a size; the process holds at most one workspace."""
-    size = state.weights.size
+    size = state.grads.size
+    state.weights = None
     with _WORKSPACE_LOCK:
         if all(held <= size for held in _WORKSPACE):
             _WORKSPACE.clear()
             _WORKSPACE[size] = state
 
 
-def _batch_grads(batch_idx, windows, params, model_cfg, rng):
+def _batch_grads(batch_idx, windows, params, model_cfg, rng, out=None):
     """Mean loss and mean gradients over one batch of windows, from one
-    forward and one backward pass over the whole batch."""
+    forward and one backward pass over the whole batch.  Given `out`, a
+    dict of buffers shaped as `params`, the gradients are written into
+    them, and the returned dict holds them."""
     inputs = np.stack([windows.inputs[j] for j in batch_idx])
     targets = np.stack([windows.targets[j] for j in batch_idx])
     tape = Tape()
@@ -263,7 +288,8 @@ def _batch_grads(batch_idx, windows, params, model_cfg, rng):
         bad = ~np.isfinite(np.mean((pred.value - targets) ** 2, axis=-1))
         raise NonFiniteLoss(f"non-finite loss on window index "
                             f"{batch_idx[int(np.argmax(bad))]}")
-    tape.backward(loss)
+    tape.backward(loss, None if out is None else
+                  {leaves[name]: buf for name, buf in out.items()})
     return float(loss.value), {name: leaves[name].grad for name in params}
 
 
@@ -305,23 +331,32 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
     """Full training loop; returns the checkpoint with the lowest
     validation loss.  Parameters, gradients and Adam's moments live in
     one TrainState, and the model reads the parameters as views into its
-    weight vector; the TrainState is the process's workspace when its
-    size matches.  `init` is copied, never written, and the
-    returned parameters are a copy that no later call writes.  Raises
-    NonFiniteLoss when no epoch gives a finite validation loss."""
+    weight vector, which backward fills with gradients; the TrainState
+    is the process's workspace when its size matches.  `init` is copied,
+    into a weight vector of this call's own, and never written.  The
+    returned parameters are views into that vector when the last epoch
+    run is the best, else into one copy of the best epoch's weights;
+    no later call writes either.  Raises NonFiniteLoss when no epoch
+    gives a finite validation loss."""
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ValueError("train and validation window sets must be nonempty")
     init = init or md.init_params(model_cfg)
     state = _take_workspace(init)
-    params = state.views()
+    params = state.views(state.weights)
+    grads = state.views(state.grads)
     frozen = [where for name, where, _ in state.slots
               if model_cfg.freeze_conv and ".conv" in name]
     rng = np.random.default_rng(cfg.seed)
     batch_size = min(cfg.batch_size, len(train_windows))
     history = []
-    best_val, best_params, best_epoch, since_best = np.inf, None, -1, 0
+    best_val, best_epoch, since_best = np.inf, -1, 0
+    best = None  # the best epoch's weights, once a later epoch runs
     stopped_early = False
     for epoch in range(cfg.epochs):
+        if epoch > 0 and best_epoch == epoch - 1:  # it moves the best
+            if best is None:
+                best = np.empty_like(state.weights)
+            np.copyto(best, state.weights)
         lr = lr_at(epoch, cfg)
         order = np.arange(len(train_windows))
         if cfg.shuffle:
@@ -329,32 +364,34 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
         epoch_losses = []
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
-            loss, leaf_grads = _batch_grads(
-                batch, train_windows, params, model_cfg, rng)
-            state.gather(leaf_grads, state.grads)
+            loss, _ = _batch_grads(batch, train_windows, params, model_cfg,
+                                   rng, grads)
             for where in frozen:
                 state.grads[where] = 0.0
+            sq = _sum_squares(state.grads)
             if cfg.grad_clip is not None:
-                _clip_grads(state.grads, cfg.grad_clip)
-            adam_step(state, lr, cfg)
+                _clip_grads(state.grads, cfg.grad_clip, sq)
+            # clipping scales by at most 1, and not at all when sq is not
+            # finite, so the elements sq found finite stay finite
+            adam_step(state, lr, cfg, sq)
             epoch_losses.append(loss)
         train_loss = float(np.mean(epoch_losses))
         val_loss = evaluate(val_windows, params, model_cfg)["mse"]
         history.append((epoch, lr, train_loss, val_loss))
         if val_loss < best_val:
             best_val, best_epoch, since_best = val_loss, epoch, 0
-            # per tensor: one whole-vector copy would be mapped anew
-            best_params = {k: x.copy() for k, x in params.items()}
         else:
             since_best += 1
             if since_best >= cfg.patience:
                 stopped_early = True
                 break
-    if best_params is None:  # NaN and inf never beat best_val = inf
+    if best_epoch < 0:  # NaN and inf never beat best_val = inf
         raise NonFiniteLoss(f"no finite validation loss after "
                             f"{len(history)} epoch(s)")
+    if best_epoch < len(history) - 1:
+        params = state.views(best)
     _keep_workspace(state)
-    return TrainResult(params=best_params, history=history,
+    return TrainResult(params=params, history=history,
                        best_epoch=best_epoch, best_val=best_val,
                        stopped_early=stopped_early)
 

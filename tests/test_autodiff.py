@@ -269,6 +269,109 @@ class TestTape:
         np.testing.assert_allclose(y.value, [0.4, 1.6])
 
 
+def _grads_of_every_node(build, buffers=None):
+    """Run `build(tape)`, which gives (loss, {name: leaf}), and backward,
+    into the buffers of `buffers` ({name: array}) when given; returns a
+    copy of every node's gradient in tape order (None where backward
+    left none), the leaves, and every node's value before and after."""
+    tape = Tape()
+    loss, leaves = build(tape)
+    values = [node.value.copy() for node in tape.nodes]
+    into = None if buffers is None else \
+        {leaves[name]: buf for name, buf in buffers.items()}
+    tape.backward(loss, into)
+    return [None if node.grad is None else node.grad.copy()
+            for node in tape.nodes], leaves, \
+        [node.value for node in tape.nodes], values
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
+class TestBackwardInto:
+    """Gradients written into caller buffers against allocated ones."""
+
+    def _check(self, build, names):
+        """Backward into NaN-filled views of one vector gives every node
+        the bits of a plain backward, makes each named leaf's .grad its
+        buffer, and changes no value in the graph."""
+        fresh, leaves, _, _ = _grads_of_every_node(build)
+        shapes = [leaves[name].value.shape for name in names]
+        vector = np.full(sum(int(np.prod(s)) for s in shapes), np.nan)
+        buffers, end = {}, 0
+        for name, shape in zip(names, shapes):
+            size = int(np.prod(shape))
+            buffers[name] = vector[end:end + size].reshape(shape)
+            end += size
+        into, leaves, values, before = _grads_of_every_node(build, buffers)
+        assert len(into) == len(fresh)
+        for i, (a, b) in enumerate(zip(into, fresh)):
+            assert (a is None and b is None) or _same_bits(a, b), i
+        for name, buf in buffers.items():
+            assert leaves[name].grad is buf, name
+        for now, then in zip(values, before):
+            assert _same_bits(now, then)
+        return buffers
+
+    @pytest.mark.parametrize("variant", ["dcn", "cnn", "none"])
+    @pytest.mark.parametrize("batch", [None, 1, 5])
+    def test_model_gradients_bit_for_bit(self, variant, batch):
+        cfg = md.ModelConfig(n_stacks=2, blocks_per_stack=2, alpha=0.4,
+                             lookback=16, horizon=3, hidden_depth=2,
+                             hidden_width=5, conv_variant=variant,
+                             kernel_sizes=(3, 2), dropout_rate=0.1, seed=4)
+        params = md.init_params(cfg)
+        rng = np.random.default_rng(7)
+        lead = () if batch is None else (batch,)
+        x = rng.normal(size=lead + (16,))
+        y = rng.normal(size=lead + (3,))
+
+        def build(tape):
+            return md.forward_loss(x, y, params, cfg, tape,
+                                   np.random.default_rng(1))
+
+        self._check(build, list(params))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_leaf_feeding_two_ops_accumulates(self, batched):
+        rng = np.random.default_rng(3)
+        x_val = rng.normal(size=(4, 3) if batched else 3)
+        w_val, b_val = rng.normal(size=(3, 3)), rng.normal(size=3)
+
+        def build(tape):
+            # W and b feed two affines, x an affine and two adds
+            x, w, b = (_leaf(tape, v) for v in (x_val, w_val, b_val))
+            h = ad.relu(ad.affine(x, w, b, tape), tape)
+            y = ad.add(ad.affine(h, w, b, tape), ad.add(x, x, tape), tape)
+            return ad.mse_loss(y, np.zeros(x_val.shape), tape), \
+                {"x": x, "W": w, "b": b}
+
+        self._check(build, ["W", "b", "x"])
+
+    def test_unreached_leaf_buffer_is_zeroed(self):
+        def build(tape):
+            x = _leaf(tape, [1.0, -2.0])
+            unused = _leaf(tape, [[5.0, 6.0]])
+            return ad.mse_loss(x, np.zeros(2), tape), {"x": x, "u": unused}
+
+        buffers = self._check(build, ["u", "x"])
+        assert _same_bits(buffers["u"], np.zeros((1, 2)))
+
+    def test_identity_fan_out_updates_no_array_in_place(self):
+        # add hands one array to both parents; s's gradient is t's, and
+        # it reaches x a second time and u once: adding into x's buffer
+        # must leave that shared array, and so u's gradient, as it was
+        def build(tape):
+            x = _leaf(tape, [1.0, -0.5, 2.0])
+            u = _leaf(tape, [0.25, 3.0, -1.0])
+            t = ad.add(ad.add(x, u, tape), x, tape)
+            return ad.mse_loss(t, np.ones(3), tape), {"x": x, "u": u}
+
+        self._check(build, ["x"])
+
+
 class TestInferenceTape:
     def test_records_nothing(self):
         tape = ad.InferenceTape()

@@ -257,6 +257,11 @@ class TestExitCodes:
         pytest.param(("train.epochs = 0",), id="no_epochs"),
         pytest.param(("model.alpha = true",), id="alpha_bool"),
         pytest.param(("train.grad_clip = -1",), id="grad_clip_negative"),
+        pytest.param(("train.adam_beta1 = 1.0",), id="adam_beta1_1"),
+        pytest.param(("train.adam_beta2 = 1.0",), id="adam_beta2_1"),
+        pytest.param(("train.adam_beta1 = -0.5",), id="adam_beta1_negative"),
+        pytest.param(("train.adam_eps = 0.0",), id="adam_eps_0"),
+        pytest.param(("train.adam_eps = -1.0",), id="adam_eps_negative"),
         pytest.param(("ablate.repetitions = 0",), id="no_repetitions"),
         pytest.param(("stride = 0",), id="stride_0"),
         pytest.param(("train.batch_size = 0",), id="batch_size_0"),

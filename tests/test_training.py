@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -131,12 +132,13 @@ def _state(params):
     views by name."""
     state = tr.TrainState.new(sum(x.size for x in params.values()))
     state.reset(params)
-    return state, state.views()
+    return state, state.views(state.weights)
 
 
 def _step(state, grads, lr, cfg):
     """One Adam step of `state` from the gradient tensors `grads`."""
-    state.gather(dict(grads), state.grads)
+    np.concatenate([grads[name].reshape(-1) for name, _, _ in state.slots],
+                   out=state.grads)
     tr.adam_step(state, lr, cfg)
 
 
@@ -246,11 +248,18 @@ class TestAdam:
         for t in range(1, steps + 1):
             grads = _random_tensors(shapes, rng, scale=10.0 ** rng.uniform(
                 -6, 3))
+            if t == 1:  # zeros of both signs, which the moments take as +0
+                for g in grads.values():
+                    g.reshape(-1)[::3] = -0.0
+                    g.reshape(-1)[1::3] = 0.0
             lr = float(rng.uniform(1e-5, 1e-1))
             _step(state, grads, lr, cfg)
             _per_tensor_adam(ref, grads, m, v, t, lr, cfg)
             for name in ref:
                 np.testing.assert_array_equal(params[name], ref[name], name)
+            for moment, per_tensor in ((state.m, m), (state.v, v)):
+                assert moment.tobytes() == np.concatenate(
+                    [per_tensor[k].reshape(-1) for k in ref]).tobytes()
         assert state.step == steps
 
     @settings(max_examples=25, deadline=None)
@@ -432,11 +441,22 @@ class TestTrainLoop:
         assert not np.array_equal(result.params["s1.b1.trunk0.W"],
                                   init["s1.b1.trunk0.W"])
 
-    # at learning rate 0.3 the first epoch is the best, so the returned
-    # parameters are a copy from before the last step
-    @pytest.mark.parametrize("lr", [1e-2, 0.3])
-    @pytest.mark.parametrize("freeze", [False, True])
-    def test_matches_per_tensor_reference_loop(self, freeze, lr):
+    # With the last epoch the best, the returned parameters are the
+    # trained weights handed over; with the first, a copy taken before
+    # the next epoch moved them.  A clip of 0.05 fires on every step.
+    @pytest.mark.parametrize("freeze, lr, clip, best_epoch", [
+        pytest.param(False, 1e-2, None, 2, id="False-0.01"),
+        pytest.param(False, 0.3, None, 0, id="False-0.3"),
+        pytest.param(True, 1e-2, None, 2, id="True-0.01"),
+        pytest.param(True, 0.3, None, 2, id="True-0.3"),
+        pytest.param(True, 0.5, None, 0, id="True-0.5"),
+        pytest.param(False, 1e-2, 0.05, 2, id="False-0.01-clip"),
+        pytest.param(False, 0.5, 0.05, 0, id="False-0.5-clip"),
+        pytest.param(True, 1e-2, 0.05, 2, id="True-0.01-clip"),
+        pytest.param(True, 0.5, 0.05, 0, id="True-0.5-clip"),
+    ])
+    def test_matches_per_tensor_reference_loop(self, freeze, lr, clip,
+                                               best_epoch):
         """`train` gives the bits of a plain loop over `_batch_grads` and
         a per-tensor Adam, writes nothing into `init`, and returns
         parameters that a later `train` call does not write."""
@@ -445,7 +465,7 @@ class TestTrainLoop:
         train_w = _toy_windows(n=40, lookback=16)
         val_w = _toy_windows(n=24, lookback=16, seed=1)
         tcfg = tr.TrainConfig(learning_rate=lr, epochs=3, batch_size=8,
-                              grad_clip=None, seed=3)
+                              grad_clip=clip, seed=3)
         init = md.init_params(cfg, seed=2)
         init_copy = {k: v.copy() for k, v in init.items()}
         init_ids = {k: id(v) for k, v in init.items()}
@@ -458,7 +478,7 @@ class TestTrainLoop:
         m = {k: np.zeros_like(v) for k, v in params.items()}
         v = {k: np.zeros_like(x) for k, x in params.items()}
         rng = np.random.default_rng(tcfg.seed)
-        history, best, best_val, step = [], None, np.inf, 0
+        history, best, best_val, step, clipped = [], None, np.inf, 0, 0
         for epoch in range(tcfg.epochs):
             lr = tr.lr_at(epoch, tcfg)
             order = np.arange(len(train_w))
@@ -471,6 +491,14 @@ class TestTrainLoop:
                 if freeze:
                     grads = {k: np.zeros_like(g) if ".conv" in k else g
                              for k, g in grads.items()}
+                if clip is not None:  # over the concatenated vector
+                    flat = np.concatenate([g.reshape(-1)
+                                           for g in grads.values()])
+                    norm = np.sqrt(flat @ flat)
+                    if norm > clip:
+                        clipped += 1
+                        grads = {k: g * (clip / norm)
+                                 for k, g in grads.items()}
                 step += 1
                 _per_tensor_adam(params, grads, m, v, step, lr, tcfg)
                 losses.append(loss)
@@ -480,6 +508,8 @@ class TestTrainLoop:
                 best_val, best = val, {k: x.copy() for k, x in params.items()}
 
         assert result.history == history
+        assert clipped == (0 if clip is None else step)
+        assert result.best_epoch == best_epoch
         assert list(result.params) == list(best)
         for name, value in best.items():
             np.testing.assert_array_equal(result.params[name], value, name)
@@ -517,6 +547,40 @@ class TestTrainLoop:
         empty = tr.WindowSet(inputs=[], targets=[], offsets=[])
         with pytest.raises(ValueError):
             tr.train(tiny_cfg(), empty, windows, tr.TrainConfig())
+
+
+class TestMemory:
+    def test_chained_calls_peak_below_seven_parameter_vectors(
+            self, monkeypatch):
+        """Four `train` calls, each from the last one's result, with the
+        first call's `init` and that result held, as the benchmark's
+        rounds hold them.  The last call's traced peak stays within 7
+        vectors of the parameters' size: the two held sets, the weights,
+        gradients and Adam moments, and less than one vector more."""
+        monkeypatch.setattr(tr, "_WORKSPACE", {})
+        cfg = md.ModelConfig(n_stacks=2, blocks_per_stack=1, lookback=256,
+                             horizon=8, hidden_depth=1, hidden_width=8,
+                             conv_variant="cnn", kernel_sizes=(3, 3),
+                             dilations=(1,), freeze_conv=True,
+                             dropout_rate=0.1)
+        tcfg = tr.TrainConfig(learning_rate=1e-2, epochs=1, batch_size=2,
+                              seed=3)
+        train_w = _toy_windows(n=265, lookback=256, horizon=8)
+        val_w = _toy_windows(n=264, lookback=256, horizon=8, seed=1)
+        assert (len(train_w), len(val_w)) == (2, 1)
+        tracemalloc.start()
+        try:
+            init = md.init_params(cfg)
+            vector = 8 * sum(x.size for x in init.values())
+            held = init
+            for _ in range(4):
+                tracemalloc.reset_peak()
+                held = tr.train(cfg, train_w, val_w, tcfg, init=held).params
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vector == 8 * 138_486
+        assert peak <= 7.0 * vector, peak / vector
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -559,7 +623,7 @@ class TestWorkspace:
         held = []
         for model in (a, b, a):
             result = _train(model)
-            held.append(tr._WORKSPACE[self._held_size()].weights)
+            held.append(tr._WORKSPACE[self._held_size()].grads)
         # the largest model stays held; with a the larger, its third
         # call trained in the buffers of its first
         large = sum(x.size for x in md.init_params(tiny_cfg(**LARGE))
@@ -594,7 +658,10 @@ class TestWorkspace:
             loss, grads = batch_grads(*args)
             calls.append(None)
             if len(calls) == 3:  # after two steps have moved the buffers
-                next(iter(grads.values())).reshape(-1)[0] = np.nan
+                # the gradient vector that the buffers passed in view
+                vector = next(iter(args[-1].values())).base
+                assert vector.ndim == 1 and vector.flags.owndata
+                vector[0] = np.nan
             return loss, grads
 
         monkeypatch.setattr(tr, "_batch_grads", poisoned)
