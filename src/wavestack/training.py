@@ -175,7 +175,7 @@ def _sum_squares(g: np.ndarray) -> float:
 
 
 def adam_step(state: TrainState, lr: float, cfg: TrainConfig,
-              sq: Optional[float] = None) -> None:
+              sq: Optional[float] = None, last: bool = False) -> None:
     """In-place bias-corrected Adam update of `state.weights` from
     `state.grads`.  Each chunk of ADAM_CHUNK elements takes the
     per-tensor expressions `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g`
@@ -184,6 +184,12 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig,
     gives.  The first step after `reset` takes m and v as zeros without
     reading them: it writes `(1-b1)*g + 0.0` and `(1-b2)*g*g + 0.0`,
     the bits of `b*0.0 + x` for b >= 0, signed zeros included.
+
+    With `last`, no later step reads the moments, so `state.m` and
+    `state.v` are not written: each chunk's new m goes to scratch, and
+    its new v over the chunk's spent gradients, which `state.grads` then
+    holds.  The weights take the same bits.  A first step that is also
+    last touches neither moment vector.
 
     `sq` is the gradients' sum of squares, `_sum_squares(state.grads)`
     when not given; a non-finite element makes it non-finite (so do
@@ -204,18 +210,21 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig,
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     for lo in range(0, g.size, ADAM_CHUNK):
         hi = lo + ADAM_CHUNK
-        p_, g_, m_, v_ = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        p_, g_ = p[lo:hi], g[lo:hi]
         s1, s2 = (s[:g_.size] for s in state.scratch)
+        # a last step's m is divided in place into lr * m_hat's buffer,
+        # and its v overwrites g once g's last read is done
+        m_, v_ = (s1, g_) if last else (m[lo:hi], v[lo:hi])
         if t == 1:  # m and v are zeros, not read
-            np.add(np.multiply(g_, 1.0 - b1, out=s1), 0.0, out=m_)
-            np.add(np.multiply(np.multiply(g_, 1.0 - b2, out=s1), g_,
-                               out=s1), 0.0, out=v_)
+            np.add(np.multiply(g_, 1.0 - b1, out=s2), 0.0, out=m_)
+            np.add(np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_,
+                               out=s2), 0.0, out=v_)
         else:
-            m_ *= b1
-            m_ += np.multiply(g_, 1.0 - b1, out=s1)
-            v_ *= b2
-            v_ += np.multiply(np.multiply(g_, 1.0 - b2, out=s1), g_,
-                              out=s1)
+            np.multiply(m[lo:hi], b1, out=m_)
+            m_ += np.multiply(g_, 1.0 - b1, out=s2)
+            np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_, out=s2)
+            np.multiply(v[lo:hi], b2, out=v_)
+            v_ += s2
         np.multiply(np.divide(m_, c1, out=s1), lr, out=s1)  # lr * m_hat
         np.sqrt(np.divide(v_, c2, out=s2), out=s2)  # sqrt(v_hat)
         s2 += cfg.adam_eps
@@ -247,8 +256,10 @@ def _clip_grads(g: np.ndarray, max_norm: float,
 # {size: TrainState}, held without its weights, which the call that
 # trained them returns.  A `train` call takes it with `pop` and puts it
 # back only when it returns, so a call that raises leaves none behind,
-# and no two calls share it.  Reused, the paper model's 3 x 81 MB stay
-# mapped between calls.
+# and no two calls share it.  Reused, the paper model's gradient vector
+# stays mapped between calls, and so do its moments once a call has
+# taken a step before its last; the moments of calls whose only step is
+# the last are never written, so never mapped.
 _WORKSPACE: dict = {}
 _WORKSPACE_LOCK = threading.Lock()
 
@@ -371,9 +382,12 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
             sq = _sum_squares(state.grads)
             if cfg.grad_clip is not None:
                 _clip_grads(state.grads, cfg.grad_clip, sq)
+            # no step follows a call's last to read its moments
+            last = (epoch == cfg.epochs - 1
+                    and start + batch_size >= len(order))
             # clipping scales by at most 1, and not at all when sq is not
             # finite, so the elements sq found finite stay finite
-            adam_step(state, lr, cfg, sq)
+            adam_step(state, lr, cfg, sq, last=last)
             epoch_losses.append(loss)
         train_loss = float(np.mean(epoch_losses))
         val_loss = evaluate(val_windows, params, model_cfg)["mse"]

@@ -621,6 +621,17 @@ class TestAblate:
         assert pools == [2]  # one cell runs in this process
         assert csvs[0] == csvs[1]
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, tiny_config, capsys,
+                                             tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ablate", "--config", str(tiny_config), "--axis",
+                      "alpha", "--jobs", jobs, "--out", str(tmp_path / "ab")])
+        assert exc.value.code == 2
+        assert f"argument --jobs: must be at least 1, got {jobs}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "ab").exists()
+
     @pytest.mark.parametrize("command", ["decompose", "train", "forecast",
                                          "eval"])
     def test_jobs_only_on_ablate(self, command, tiny_config, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,16 @@ from wavestack.errors import (
     SeriesTooShort,
     ShapeMismatch,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _src_env():
+    """The environment, with this checkout's `src` first on PYTHONPATH,
+    for a fresh process that imports wavestack."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                               if p]))
 
 TINY = dict(n_stacks=2, blocks_per_stack=1, alpha=0.4, lookback=8,
             horizon=2, hidden_depth=1, hidden_width=4,
@@ -135,11 +146,11 @@ def _state(params):
     return state, state.views(state.weights)
 
 
-def _step(state, grads, lr, cfg):
+def _step(state, grads, lr, cfg, last=False):
     """One Adam step of `state` from the gradient tensors `grads`."""
     np.concatenate([grads[name].reshape(-1) for name, _, _ in state.slots],
                    out=state.grads)
-    tr.adam_step(state, lr, cfg)
+    tr.adam_step(state, lr, cfg, last=last)
 
 
 def _per_tensor_adam(params, grads, m, v, t, lr, cfg):
@@ -261,6 +272,41 @@ class TestAdam:
                 assert moment.tobytes() == np.concatenate(
                     [per_tensor[k].reshape(-1) for k in ref]).tobytes()
         assert state.step == steps
+
+    @settings(max_examples=30, deadline=None)
+    @given(shapes=_tiny_shapes, with_big=st.booleans(),
+           steps=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @example(shapes=[(3,)], with_big=True, steps=1, seed=0)
+    @example(shapes=[(3,)], with_big=True, steps=2, seed=0)
+    def test_last_step_stores_no_moments(self, shapes, with_big, steps,
+                                         seed):
+        """A last step moves the weights to the bytes a storing step
+        gives and writes neither moment: at step 1 it leaves NaN-filled
+        moments as they were, and later it only reads them."""
+        if with_big:
+            shapes.append((tr.ADAM_CHUNK + 7,))
+        rng = np.random.default_rng(seed)
+        cfg = tr.TrainConfig()
+        init = _random_tensors(shapes, rng)
+        storing, stored = _state(init)
+        last, lasted = _state(init)
+        last.m.fill(np.nan)
+        last.v.fill(np.nan)
+        for t in range(1, steps + 1):
+            grads = _random_tensors(shapes, rng, scale=10.0 ** rng.uniform(
+                -6, 3))
+            for g in grads.values():
+                g.reshape(-1)[::3] = -0.0
+                g.reshape(-1)[1::3] = 0.0
+            lr = float(rng.uniform(1e-5, 1e-1))
+            _step(storing, grads, lr, cfg)
+            moments = last.m.tobytes(), last.v.tobytes()
+            _step(last, grads, lr, cfg, last=t == steps)
+        assert (last.m.tobytes(), last.v.tobytes()) == moments
+        assert np.isnan(last.m).all() == np.isnan(last.v).all() == \
+            (steps == 1)
+        for name in init:
+            assert lasted[name].tobytes() == stored[name].tobytes(), name
 
     @settings(max_examples=25, deadline=None)
     @given(lead=st.integers(1, tr.ADAM_CHUNK - 1),
@@ -582,8 +628,48 @@ class TestMemory:
         assert vector == 8 * 138_486
         assert peak <= 7.0 * vector, peak / vector
 
+    def test_chained_one_step_calls_peak_rss_below_four_vectors(self):
+        """Four one-step `train` calls on a 2.1M-parameter model, chained
+        as in the test above, in a fresh process.  Peak RSS grows by at
+        most 4 parameter vectors over its reading once the parameters and
+        windows are built: the previous result, the weights, the
+        gradients, and less than one vector more.  Adam's moments, which
+        no step of such a call writes, stay unmapped.  (tracemalloc counts
+        allocations, so it cannot see that.)"""
+        script = """
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from test_training import _toy_windows
+from wavestack import model as md, training as tr
+cfg = md.ModelConfig(n_stacks=2, blocks_per_stack=1, lookback=1024,
+                     horizon=8, hidden_depth=1, hidden_width=8,
+                     conv_variant="none", kernel_sizes=(3, 3),
+                     dropout_rate=0.0, seed=3)
+tcfg = tr.TrainConfig(learning_rate=1e-3, epochs=1, batch_size=2, seed=3)
+init = md.init_params(cfg)
+train_w = _toy_windows(n=1033, lookback=1024, horizon=8)
+val_w = _toy_windows(n=1032, lookback=1024, horizon=8, seed=1)
+baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+held = init
+for _ in range(4):
+    held = tr.train(cfg, train_w, val_w, tcfg, init=held).params
+print(json.dumps({
+    "windows": [len(train_w), len(val_w)],
+    "params": sum(x.size for x in init.values()),
+    "baseline_kib": baseline,
+    "peak_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+        run = subprocess.run([sys.executable, "-c", script,
+                              str(ROOT / "tests")], env=_src_env(),
+                             check=True, capture_output=True, text=True,
+                             timeout=300)
+        got = json.loads(run.stdout.splitlines()[-1])
+        assert got["windows"] == [2, 1]
+        assert got["params"] == 2_134_320
+        vector = 8 * got["params"]
+        grown = 1024 * (got["peak_kib"] - got["baseline_kib"])
+        assert grown <= 4.0 * vector, grown / vector
 
-ROOT = Path(__file__).resolve().parents[1]
 
 # two models of different sizes, and the run that trains them
 SMALL = dict(lookback=16, conv_variant="dcn", kernel_sizes=(3, 3),
@@ -613,12 +699,9 @@ class TestWorkspace:
                   "sys.path.insert(0, sys.argv[1])\n"
                   "from test_training import _train, LARGE, SMALL\n"
                   f"np.savez(sys.argv[2], **_train({a!r}).params)\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
-                                   if p]))
         subprocess.run([sys.executable, "-c", script, str(ROOT / "tests"),
-                        str(tmp_path / "fresh.npz")], env=env, check=True,
-                       timeout=300)
+                        str(tmp_path / "fresh.npz")], env=_src_env(),
+                       check=True, timeout=300)
         fresh = np.load(tmp_path / "fresh.npz")
         held = []
         for model in (a, b, a):
@@ -648,6 +731,28 @@ class TestWorkspace:
         for value in second.params.values():
             for buf in live:
                 assert not np.may_share_memory(value, buf)
+
+    def test_one_step_call_leaves_held_moments_unwritten(self,
+                                                        monkeypatch):
+        """A call whose only step is its last writes neither moment of
+        the held workspace, and trains the bits a new workspace gives."""
+        _train(SMALL)
+        state = tr._WORKSPACE[self._held_size()]
+        state.m.fill(np.nan)
+        state.v.fill(np.nan)
+        sentinel = state.m.tobytes()
+        train_w = _toy_windows(n=19, lookback=16)
+        val_w = _toy_windows(n=24, lookback=16, seed=1)
+        run = tr.TrainConfig(learning_rate=1e-2, epochs=1, batch_size=8,
+                             grad_clip=1.0, seed=3)
+        assert len(train_w) == 2
+        result = tr.train(tiny_cfg(**SMALL), train_w, val_w, run)
+        assert tr._WORKSPACE[self._held_size()] is state
+        assert state.m.tobytes() == state.v.tobytes() == sentinel
+        monkeypatch.setattr(tr, "_WORKSPACE", {})
+        fresh = tr.train(tiny_cfg(**SMALL), train_w, val_w, run)
+        for name, value in fresh.params.items():
+            assert result.params[name].tobytes() == value.tobytes(), name
 
     def test_clean_bits_after_non_finite_gradient(self, monkeypatch):
         clean = _train(SMALL)
