@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input error, 3 runtime or internal error.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -210,21 +211,18 @@ def cmd_ablate(run: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
             results = list(pool.map(_try_cell, tasks))
     else:
         results = list(map(_try_cell, tasks))
-    with open(out / f"ablation_{axis}.csv", "w") as fh:
-        fh.write(f"{axis},repetitions,mse_mean,mse_std,mae_mean,mae_std,"
-                 f"failures\n")
+    with open(out / f"ablation_{axis}.csv", "w", newline="") as fh:
+        # quotes a failure message that holds a comma, quote or newline
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([axis, "repetitions", "mse_mean", "mse_std",
+                         "mae_mean", "mae_std", "failures"])
         for gi, value in enumerate(grid):
-            cell = [results[gi * reps + r] for r in range(reps)]
+            cell = results[gi * reps:(gi + 1) * reps]
             ok = [m for m, err in cell if m is not None]
-            failures = ";".join(err for _, err in cell if err) or ""
-            if ok:
-                mses = [m[0] for m in ok]
-                maes = [m[1] for m in ok]
-                fh.write(f"{value},{len(ok)},{float(np.mean(mses))!r},"
-                         f"{float(np.std(mses))!r},{float(np.mean(maes))!r},"
-                         f"{float(np.std(maes))!r},{failures}\n")
-            else:
-                fh.write(f"{value},0,,,,,{failures}\n")
+            stats = ([float(f(scores)) for scores in zip(*ok)
+                      for f in (np.mean, np.std)] if ok else [""] * 4)
+            writer.writerow([value, len(ok), *stats,
+                             ";".join(err for _, err in cell if err)])
     _write_resolved_config(run, out)
     print(f"ablation over {axis}: {len(grid)} cells x {reps} repetitions "
           f"-> {out / f'ablation_{axis}.csv'}")
@@ -241,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="run config path")
         p.add_argument("--seed", type=int, default=None,
-                       help="override all seeds in the config")
+                       help="override model.seed, train.seed and "
+                       "ensemble.base_seed (not synthetic.seed)")
         p.add_argument("--out", default=".", help="output directory")
 
     common(sub.add_parser("decompose", help="write per-level branch CSVs"))
@@ -267,6 +266,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "ablate" and args.jobs < 1:
         parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be at least 0, got {args.seed}")
     try:
         run = _apply_seed(load_run_config(args.config), args.seed)
         out = Path(args.out)

@@ -145,7 +145,8 @@ def load_run_config(path=None, text=None, overrides=None) -> RunConfig:
     if options["decompose.kind"] is None:
         options["decompose.kind"] = model.wavelet_kind
     for key, low in (("stride", 1), ("synthetic.length", 1),
-                     ("synthetic.noise", 0), ("decompose.levels", 1),
+                     ("synthetic.noise", 0), ("synthetic.seed", 0),
+                     ("decompose.levels", 1),
                      ("ablate.repetitions", 1), ("ablate.alpha_grid", 0),
                      ("ablate.stacks_grid", 1), ("ablate.ensemble_grid", 1),
                      ("ablate.noise_grid", 0)):

@@ -26,6 +26,8 @@ class EnsembleConfig:
             raise ValueError("ensemble size must be >= 1")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation: {self.aggregation}")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
 
     def member_seeds(self):
         return [self.base_seed + 1000 * i for i in range(self.size)]

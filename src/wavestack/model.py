@@ -77,6 +77,8 @@ class ModelConfig:
             raise ValueError("kernel sizes and dilations must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for i in range(1, self.n_stacks + 1):
             if self.conv_output_length(i) < 1:
                 raise ValueError(

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -63,6 +62,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1)")
         if not self.adam_eps > 0.0:
             raise ValueError("adam_eps must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 # The elements of a vector that Adam's update takes at a time.  Its 14
@@ -76,36 +77,30 @@ ADAM_CHUNK = 1 << 15
 class TrainState:
     """A model's parameters, gradients and Adam moments, each laid out
     end to end, in the parameter dict's order, in one float64 vector.
-    `slots` lists each tensor's (name, slice, shape) in them.  The
-    weights are a vector of each `reset`'s own; the other buffers are
-    reused from one reset to the next."""
+    `slots` lists each tensor's (name, slice, shape) in them.  Every
+    buffer is the state's own."""
+    weights: np.ndarray
     grads: np.ndarray
     m: np.ndarray
     v: np.ndarray
     scratch: tuple  # two buffers of one Adam chunk
-    weights: Optional[np.ndarray] = None
-    slots: list = ()
+    slots: list
     step: int = 0
 
     @classmethod
-    def new(cls, size: int) -> "TrainState":
-        chunk = min(ADAM_CHUNK, size)
-        return cls(*(np.empty(size) for _ in range(3)),
-                   (np.empty(chunk), np.empty(chunk)))
-
-    def reset(self, tensors: dict) -> "TrainState":
+    def new(cls, tensors: dict) -> "TrainState":
         """Lay `tensors` out, copied, in a new weight vector, with Adam
-        restarted: its first step writes the moments whole."""
-        self.slots, end = [], 0
+        at its start: its first step writes the moments whole."""
+        slots, end = [], 0
         for name, value in tensors.items():
-            self.slots.append((name, slice(end, end + value.size),
-                               value.shape))
+            slots.append((name, slice(end, end + value.size), value.shape))
             end += value.size
-        self.weights = np.concatenate(
+        weights = np.concatenate(
             [value.reshape(-1) for value in tensors.values()],
             dtype=np.float64)
-        self.step = 0
-        return self
+        chunk = min(ADAM_CHUNK, end)
+        return cls(weights, *(np.empty(end) for _ in range(3)),
+                   (np.empty(chunk), np.empty(chunk)), slots)
 
     def views(self, buf: np.ndarray) -> dict:
         """Every parameter as a view into `buf`, one of the vectors of
@@ -181,8 +176,8 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig,
     per-tensor expressions `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g`
     and `p -= lr*m_hat / (sqrt(v_hat) + eps)` one operation at a time, in
     their order, so the result is the same bits a per-tensor update
-    gives.  The first step after `reset` takes m and v as zeros without
-    reading them: it writes `(1-b1)*g + 0.0` and `(1-b2)*g*g + 0.0`,
+    gives.  A state's first step takes m and v as zeros without reading
+    them: it writes `(1-b1)*g + 0.0` and `(1-b2)*g*g + 0.0`,
     the bits of `b*0.0 + x` for b >= 0, signed zeros included.
 
     With `last`, no later step reads the moments, so `state.m` and
@@ -252,38 +247,6 @@ def _clip_grads(g: np.ndarray, max_norm: float,
     return big * float(total)
 
 
-# The TrainState of the largest model trained so far, by its size:
-# {size: TrainState}, held without its weights, which the call that
-# trained them returns.  A `train` call takes it with `pop` and puts it
-# back only when it returns, so a call that raises leaves none behind,
-# and no two calls share it.  Reused, the paper model's gradient vector
-# stays mapped between calls, and so do its moments once a call has
-# taken a step before its last; the moments of calls whose only step is
-# the last are never written, so never mapped.
-_WORKSPACE: dict = {}
-_WORKSPACE_LOCK = threading.Lock()
-
-
-def _take_workspace(tensors: dict) -> TrainState:
-    """A TrainState holding a copy of `tensors`: the held one when its
-    size matches, else a new one."""
-    size = sum(value.size for value in tensors.values())
-    with _WORKSPACE_LOCK:
-        state = _WORKSPACE.pop(size, None)
-    return (state or TrainState.new(size)).reset(tensors)
-
-
-def _keep_workspace(state: TrainState) -> None:
-    """Hold `state` for the next call, in place of any held one of no
-    larger a size; the process holds at most one workspace."""
-    size = state.grads.size
-    state.weights = None
-    with _WORKSPACE_LOCK:
-        if all(held <= size for held in _WORKSPACE):
-            _WORKSPACE.clear()
-            _WORKSPACE[size] = state
-
-
 def _batch_grads(batch_idx, windows, params, model_cfg, rng, out=None):
     """Mean loss and mean gradients over one batch of windows, from one
     forward and one backward pass over the whole batch.  Given `out`, a
@@ -341,18 +304,17 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
           init: Optional[dict] = None) -> TrainResult:
     """Full training loop; returns the checkpoint with the lowest
     validation loss.  Parameters, gradients and Adam's moments live in
-    one TrainState, and the model reads the parameters as views into its
-    weight vector, which backward fills with gradients; the TrainState
-    is the process's workspace when its size matches.  `init` is copied,
-    into a weight vector of this call's own, and never written.  The
-    returned parameters are views into that vector when the last epoch
-    run is the best, else into one copy of the best epoch's weights;
-    no later call writes either.  Raises NonFiniteLoss when no epoch
-    gives a finite validation loss."""
+    one TrainState of this call's own, and the model reads the
+    parameters as views into its weight vector; backward writes the
+    gradients into its gradient vector.  `init` is copied, never
+    written.  The returned parameters are views into the weight vector
+    when the last epoch run is the best, else into one copy of the best
+    epoch's weights; no later call writes either.  Raises NonFiniteLoss
+    when no epoch gives a finite validation loss."""
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ValueError("train and validation window sets must be nonempty")
     init = init or md.init_params(model_cfg)
-    state = _take_workspace(init)
+    state = TrainState.new(init)
     params = state.views(state.weights)
     grads = state.views(state.grads)
     frozen = [where for name, where, _ in state.slots
@@ -404,7 +366,6 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
                             f"{len(history)} epoch(s)")
     if best_epoch < len(history) - 1:
         params = state.views(best)
-    _keep_workspace(state)
     return TrainResult(params=params, history=history,
                        best_epoch=best_epoch, best_val=best_val,
                        stopped_early=stopped_early)

@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import os
@@ -277,6 +278,11 @@ class TestExitCodes:
         pytest.param(("ablate.noise_grid = [-0.1]",), id="noise_grid_neg"),
         pytest.param(('ablate.conv_grid = ["dcn", "conv"]',),
                      id="conv_grid_unknown"),
+        pytest.param(("model.seed = -1",), id="model_seed_negative"),
+        pytest.param(("train.seed = -1",), id="train_seed_negative"),
+        pytest.param(("ensemble.base_seed = -1",),
+                     id="ensemble_seed_negative"),
+        pytest.param(("synthetic.seed = -1",), id="synthetic_seed_negative"),
     ])
     def test_config_fault(self, entries, tmp_path, capsys):
         cfg = tmp_path / "fault.cfg"
@@ -287,6 +293,16 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_negative_seed_is_a_usage_error(self, tiny_config, capsys,
+                                            tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--config", str(tiny_config), "--seed", "-1",
+                      "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "argument --seed: must be at least 0, got -1" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("fault", ["data_dir", "checkpoint_dir",
                                        "constant_series", "huge_field"])
@@ -584,6 +600,23 @@ class TestAblate:
             csvs.append((out / "ablation_stacks.csv").read_bytes())
         assert csvs[0] == csvs[1]
         assert b"\n9,0,,,,,ValueError: lookback too short" in csvs[0]
+
+    def test_failure_with_comma_keeps_seven_fields(self, tmp_path):
+        # a val partition of 12 points is too short for a 16+4 window
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text(with_entries("synthetic.length = 128") +
+                       "ablate.alpha_grid = [0.0, 0.4]\n"
+                       "ablate.repetitions = 2\n")
+        out = tmp_path / "ab"
+        assert cli.main(["ablate", "--config", str(cfg), "--axis", "alpha",
+                         "--out", str(out)]) == 0
+        with open(out / "ablation_alpha.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        message = "PartitionTooShort: val partition has 12 points, needs 20"
+        assert rows[1:] == [[value, "0", "", "", "", "",
+                             f"{message};{message}"]
+                            for value in ("0.0", "0.4")]
+        assert all(len(row) == 7 for row in rows)
 
     def test_unknown_axis_rejected(self, tiny_config, capsys):
         with pytest.raises(SystemExit):

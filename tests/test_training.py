@@ -141,8 +141,7 @@ class TestSchedule:
 def _state(params):
     """A fresh TrainState holding a copy of `params`, and its weights'
     views by name."""
-    state = tr.TrainState.new(sum(x.size for x in params.values()))
-    state.reset(params)
+    state = tr.TrainState.new(params)
     return state, state.views(state.weights)
 
 
@@ -596,14 +595,12 @@ class TestTrainLoop:
 
 
 class TestMemory:
-    def test_chained_calls_peak_below_seven_parameter_vectors(
-            self, monkeypatch):
+    def test_chained_calls_peak_below_seven_parameter_vectors(self):
         """Four `train` calls, each from the last one's result, with the
         first call's `init` and that result held, as the benchmark's
         rounds hold them.  The last call's traced peak stays within 7
         vectors of the parameters' size: the two held sets, the weights,
         gradients and Adam moments, and less than one vector more."""
-        monkeypatch.setattr(tr, "_WORKSPACE", {})
         cfg = md.ModelConfig(n_stacks=2, blocks_per_stack=1, lookback=256,
                              horizon=8, hidden_depth=1, hidden_width=8,
                              conv_variant="cnn", kernel_sizes=(3, 3),
@@ -684,15 +681,7 @@ def _train(model, init=None):
                     _toy_windows(n=24, lookback=16, seed=1), _RUN, init=init)
 
 
-class TestWorkspace:
-    @pytest.fixture(autouse=True)
-    def empty_workspace(self, monkeypatch):
-        monkeypatch.setattr(tr, "_WORKSPACE", {})
-
-    def _held_size(self):
-        assert len(tr._WORKSPACE) <= 1
-        return next(iter(tr._WORKSPACE), None)
-
+class TestCallIsolation:
     @pytest.mark.parametrize("a, b", [(LARGE, SMALL), (SMALL, LARGE)])
     def test_layouts_a_b_a_match_a_fresh_process(self, a, b, tmp_path):
         script = ("import sys, numpy as np\n"
@@ -703,16 +692,8 @@ class TestWorkspace:
                         str(tmp_path / "fresh.npz")], env=_src_env(),
                        check=True, timeout=300)
         fresh = np.load(tmp_path / "fresh.npz")
-        held = []
         for model in (a, b, a):
             result = _train(model)
-            held.append(tr._WORKSPACE[self._held_size()].grads)
-        # the largest model stays held; with a the larger, its third
-        # call trained in the buffers of its first
-        large = sum(x.size for x in md.init_params(tiny_cfg(**LARGE))
-                    .values())
-        assert self._held_size() == large
-        assert (held[0] is held[2]) == (a is LARGE)
         assert list(result.params) == list(fresh)
         for name, value in result.params.items():
             np.testing.assert_array_equal(value, fresh[name], name)
@@ -721,35 +702,36 @@ class TestWorkspace:
         first = _train(SMALL)
         kept = {k: x.copy() for k, x in first.params.items()}
         second = _train(SMALL, init=first.params)
-        state = tr._WORKSPACE[self._held_size()]
-        live = [state.weights, state.grads, state.m, state.v,
-                *state.scratch]
         for name, value in first.params.items():
             np.testing.assert_array_equal(value, kept[name], name)
-            for other in list(second.params.values()) + live:
+            for other in second.params.values():
                 assert not np.may_share_memory(value, other), name
-        for value in second.params.values():
-            for buf in live:
-                assert not np.may_share_memory(value, buf)
 
     def test_one_step_call_leaves_held_moments_unwritten(self,
                                                         monkeypatch):
-        """A call whose only step is its last writes neither moment of
-        the held workspace, and trains the bits a new workspace gives."""
-        _train(SMALL)
-        state = tr._WORKSPACE[self._held_size()]
-        state.m.fill(np.nan)
-        state.v.fill(np.nan)
-        sentinel = state.m.tobytes()
+        """A call whose only step is its last writes neither of its
+        state's moment vectors, and trains the bits an unwatched call
+        gives."""
         train_w = _toy_windows(n=19, lookback=16)
         val_w = _toy_windows(n=24, lookback=16, seed=1)
         run = tr.TrainConfig(learning_rate=1e-2, epochs=1, batch_size=8,
                              grad_clip=1.0, seed=3)
         assert len(train_w) == 2
+        new = tr.TrainState.new
+        states = []
+
+        def nan_moments(tensors):
+            state = new(tensors)
+            state.m.fill(np.nan)
+            state.v.fill(np.nan)
+            states.append((state, state.m.tobytes()))
+            return state
+
+        monkeypatch.setattr(tr.TrainState, "new", nan_moments)
         result = tr.train(tiny_cfg(**SMALL), train_w, val_w, run)
-        assert tr._WORKSPACE[self._held_size()] is state
+        (state, sentinel), = states
         assert state.m.tobytes() == state.v.tobytes() == sentinel
-        monkeypatch.setattr(tr, "_WORKSPACE", {})
+        monkeypatch.setattr(tr.TrainState, "new", new)
         fresh = tr.train(tiny_cfg(**SMALL), train_w, val_w, run)
         for name, value in fresh.params.items():
             assert result.params[name].tobytes() == value.tobytes(), name
@@ -772,7 +754,6 @@ class TestWorkspace:
         monkeypatch.setattr(tr, "_batch_grads", poisoned)
         with pytest.raises(NonFiniteGradient):
             _train(SMALL)
-        assert self._held_size() is None
         monkeypatch.setattr(tr, "_batch_grads", batch_grads)
         again = _train(SMALL)
         for name, value in clean.params.items():
