@@ -52,10 +52,6 @@ def _prepare(run: RunConfig, series=None):
     return dataset, scaler, windows
 
 
-def _write_resolved_config(run: RunConfig, out: Path) -> None:
-    (out / "resolved_config.txt").write_text(resolved_config_text(run))
-
-
 def _apply_seed(run: RunConfig, seed) -> RunConfig:
     if seed is None:
         return run
@@ -80,7 +76,6 @@ def cmd_decompose(run: RunConfig, out: Path) -> None:
     recon = pyramid.approx[-1] + sum(pyramid.detail)
     recon_error = float(np.max(np.abs(recon - series)))
     (out / "recon_error.txt").write_text(f"{recon_error!r}\n")
-    _write_resolved_config(run, out)
     print(f"decomposed {len(series)} points into {levels} levels ({kind}); "
           f"max-abs reconstruction error {recon_error:.3e}")
 
@@ -91,7 +86,6 @@ def cmd_train(run: RunConfig, out: Path) -> None:
     tr.save_checkpoint(out / "checkpoint.txt", result.params, run.model,
                        epoch=result.best_epoch, val_loss=result.best_val)
     tr.save_history(out / "history.csv", result.history)
-    _write_resolved_config(run, out)
     train_metrics = tr.evaluate(windows["train"], result.params, run.model)
     val_metrics = tr.evaluate(windows["val"], result.params, run.model)
     print(f"best epoch {result.best_epoch} "
@@ -115,7 +109,6 @@ def cmd_forecast(run: RunConfig, out: Path, checkpoint: str) -> None:
         if infused is None:
             infused = np.zeros(run.model.lookback)
         dataio.save_csv(out / f"stack{i}.infused.csv", infused)
-    _write_resolved_config(run, out)
     total = np.sum(bundle.per_stack_forecast, axis=0)
     print(f"forecast horizon {run.model.horizon}; stack-sum max dev "
           f"{np.max(np.abs(total - bundle.global_forecast)):.3e}")
@@ -144,12 +137,22 @@ def cmd_eval(run: RunConfig, out: Path, checkpoint: str,
         fh.write("scale,model,mse,mae\n")
         for scale, label, m, a in rows:
             fh.write(f"{scale},{label},{float(m)!r},{float(a)!r}\n")
-    _write_resolved_config(run, out)
     for scale, label, m, a in rows:
         print(f"{scale:12s} {label:12s} mse {m:.6f} mae {a:.6f}")
 
 
 # --- ablation driver -----------------------------------------------------
+
+def _cell_series(run: RunConfig, axis: str, value, rep: int) -> np.ndarray:
+    """The series an ablation cell reads: for the noise axis, the
+    synthetic series at the cell's noise level, seeded per repetition
+    (`data` is never read); on every other axis, the run's own."""
+    if axis == "noise":
+        return dataio.multi_frequency_benchmark(
+            length=run["synthetic.length"], noise_level=value,
+            seed=run["synthetic.seed"] + rep)
+    return _load_series(run)
+
 
 def _run_cell(args):
     """One seeded (cell, repetition) experiment; returns test MSE/MAE."""
@@ -157,19 +160,14 @@ def _run_cell(args):
     seed = run.model.seed + 101 * rep
     model_cfg = replace(run.model, seed=seed)
     train_cfg = replace(run.train, seed=seed)
-    series = None
     if axis == "alpha":
         model_cfg = replace(model_cfg, alpha=value)
     elif axis == "stacks":
         model_cfg = replace(model_cfg, n_stacks=value, kernel_sizes=None)
     elif axis == "conv":
         model_cfg = replace(model_cfg, conv_variant=value)
-    elif axis == "noise":
-        series = dataio.multi_frequency_benchmark(
-            length=run["synthetic.length"], noise_level=value,
-            seed=run["synthetic.seed"] + rep)
     run = replace(run, model=model_cfg, train=train_cfg)
-    _, _, windows = _prepare(run, series=series)
+    _, _, windows = _prepare(run, _cell_series(run, axis, value, rep))
     test = windows["test"]
     if axis == "ensemble_size":
         ens_cfg = replace(run.ensemble, size=value, base_seed=seed)
@@ -203,6 +201,8 @@ def cmd_ablate(run: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
         "noise": run["ablate.noise_grid"],
     }[axis]
     reps = run["ablate.repetitions"]
+    if grid:  # an input fault that every cell would hit exits 2 here
+        _prepare(run, _cell_series(run, axis, grid[0], 0))
     tasks = [(run, axis, value, rep) for value in grid
              for rep in range(reps)]
     workers = min(jobs, len(tasks))  # a pool forks every worker up front
@@ -223,7 +223,6 @@ def cmd_ablate(run: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
                       for f in (np.mean, np.std)] if ok else [""] * 4)
             writer.writerow([value, len(ok), *stats,
                              ";".join(err for _, err in cell if err)])
-    _write_resolved_config(run, out)
     print(f"ablation over {axis}: {len(grid)} cells x {reps} repetitions "
           f"-> {out / f'ablation_{axis}.csv'}")
 
@@ -285,6 +284,7 @@ def main(argv=None) -> int:
                 cmd_eval(run, out, args.checkpoint, baseline=args.baseline)
             elif args.command == "ablate":
                 cmd_ablate(run, out, args.axis, jobs=args.jobs)
+        (out / "resolved_config.txt").write_text(resolved_config_text(run))
     except (InvalidInput, OSError, UnicodeDecodeError) as exc:
         print(f"error: {describe(exc)}", file=sys.stderr)
         return 2

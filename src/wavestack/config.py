@@ -112,14 +112,12 @@ def parse_config_text(text: str) -> dict:
     return entries
 
 
-def load_run_config(path=None, text=None, overrides=None) -> RunConfig:
+def load_run_config(path=None, text=None) -> RunConfig:
     """Build a fully validated RunConfig; unknown keys are rejected."""
     if text is None:
         with open(path) as fh:
             text = fh.read()
     entries = parse_config_text(text)
-    if overrides:
-        entries.update(overrides)
     if entries.get("spec_version", SPEC_VERSION) != SPEC_VERSION:
         raise ConfigError(
             f"unsupported spec_version {entries.get('spec_version')!r}")

@@ -3,8 +3,11 @@
 
 def describe(exc: BaseException) -> str:
     """One line for a failure: the message, then each note attached to
-    the exception (PEP 678), such as the ensemble member that raised it."""
-    return "; ".join([str(exc), *getattr(exc, "__notes__", [])])
+    the exception (PEP 678), such as the ensemble member that raised it.
+    A carriage return or newline in them, say from a file path, is
+    written as the two-character escape `\\r` or `\\n`."""
+    text = "; ".join([str(exc), *getattr(exc, "__notes__", [])])
+    return text.replace("\r", "\\r").replace("\n", "\\n")
 
 
 class WavestackError(Exception):

@@ -85,10 +85,6 @@ class ModelConfig:
                     f"stack {i}: conv variant {self.conv_variant} consumes "
                     f"the whole lookback window")
 
-    @property
-    def wavelet_levels(self):
-        return self.n_stacks - 1
-
     def conv_output_length(self, stack: int) -> int:
         """Length of the block input for 1-based stack index."""
         t = self.lookback
@@ -100,12 +96,6 @@ class ModelConfig:
         if self.conv_variant == "cnn":
             return t - (k - 1) * len(self.dilations)
         return t // k  # pooling
-
-    def theta_b_dim(self, stack: int) -> int:
-        return self.theta_backcast_dim or self.conv_output_length(stack)
-
-    def theta_f_dim(self) -> int:
-        return self.theta_forecast_dim or self.horizon
 
 
 @dataclass(frozen=True)
@@ -138,7 +128,8 @@ def param_shapes(cfg: ModelConfig) -> dict:
         for name in _conv_kernel_names(i, cfg):
             shapes[name] = (k,)
         in_dim = cfg.conv_output_length(i)
-        tb, tf = cfg.theta_b_dim(i), cfg.theta_f_dim()
+        tb = cfg.theta_backcast_dim or in_dim
+        tf = cfg.theta_forecast_dim or cfg.horizon
         w = cfg.hidden_width
         for kb in range(1, cfg.blocks_per_stack + 1):
             prefix = f"s{i}.b{kb}"
@@ -265,7 +256,7 @@ def _forward(x, cfg: ModelConfig, leaves: dict, tape: Tape,
         draws = rng.random(x.shape[:-1] + (layers, cfg.hidden_width))
     branches = [None]  # one stack: alpha is 0, nothing to blend
     if cfg.n_stacks >= 2:
-        pyramid = mdwd(x, cfg.wavelet_levels, cfg.wavelet_kind)
+        pyramid = mdwd(x, cfg.n_stacks - 1, cfg.wavelet_kind)
         branches = [pyramid.approx[-1]] + pyramid.detail[::-1]
     x_in = tape.tensor(x)
     global_forecast = backcast_t = None

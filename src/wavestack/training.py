@@ -247,11 +247,10 @@ def _clip_grads(g: np.ndarray, max_norm: float,
     return big * float(total)
 
 
-def _batch_grads(batch_idx, windows, params, model_cfg, rng, out=None):
-    """Mean loss and mean gradients over one batch of windows, from one
-    forward and one backward pass over the whole batch.  Given `out`, a
-    dict of buffers shaped as `params`, the gradients are written into
-    them, and the returned dict holds them."""
+def _batch_grads(batch_idx, windows, params, model_cfg, rng, out) -> float:
+    """Mean loss over one batch of windows, from one forward and one
+    backward pass over the whole batch; the mean gradients are written
+    into `out`, a dict of buffers shaped as `params`."""
     inputs = np.stack([windows.inputs[j] for j in batch_idx])
     targets = np.stack([windows.targets[j] for j in batch_idx])
     tape = Tape()
@@ -262,9 +261,8 @@ def _batch_grads(batch_idx, windows, params, model_cfg, rng, out=None):
         bad = ~np.isfinite(np.mean((pred.value - targets) ** 2, axis=-1))
         raise NonFiniteLoss(f"non-finite loss on window index "
                             f"{batch_idx[int(np.argmax(bad))]}")
-    tape.backward(loss, None if out is None else
-                  {leaves[name]: buf for name, buf in out.items()})
-    return float(loss.value), {name: leaves[name].grad for name in params}
+    tape.backward(loss, {leaves[name]: buf for name, buf in out.items()})
+    return float(loss.value)
 
 
 def forecast(inputs, params: dict, model_cfg) -> np.ndarray:
@@ -337,8 +335,8 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
         epoch_losses = []
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
-            loss, _ = _batch_grads(batch, train_windows, params, model_cfg,
-                                   rng, grads)
+            loss = _batch_grads(batch, train_windows, params, model_cfg,
+                                rng, grads)
             for where in frozen:
                 state.grads[where] = 0.0
             sq = _sum_squares(state.grads)

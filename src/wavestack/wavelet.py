@@ -28,7 +28,7 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 
 # Low-pass coefficient tables.  High-pass filters are derived via the
-# quadrature-mirror relation below; both are validated at construction.
+# quadrature-mirror relation in `_build_bank`.
 _LOW_PASS = {
     FilterKind.HAAR: [1.0 / _SQRT2, 1.0 / _SQRT2],
     FilterKind.DB2: [
@@ -56,21 +56,6 @@ class FilterPair:
 
     low: np.ndarray
     high: np.ndarray
-    kind: FilterKind
-
-    def __post_init__(self):
-        low = np.asarray(self.low, dtype=np.float64)
-        high = np.asarray(self.high, dtype=np.float64)
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
-        k = len(low)
-        if len(high) != k:
-            raise ValueError("low and high filters must have equal length")
-        if abs(low @ low - 1.0) > 1e-12 or abs(high @ high - 1.0) > 1e-12:
-            raise ValueError(f"{self.kind}: filters are not unit-energy")
-        mirror = np.array([(-1.0) ** i * low[k - 1 - i] for i in range(k)])
-        if np.max(np.abs(high - mirror)) > 1e-12:
-            raise ValueError(f"{self.kind}: quadrature-mirror relation violated")
 
     def __len__(self):
         return len(self.low)
@@ -82,16 +67,16 @@ def _build_bank(kind: FilterKind) -> FilterPair:
     high = np.array([(-1.0) ** i * low[k - 1 - i] for i in range(k)])
     low.setflags(write=False)
     high.setflags(write=False)
-    return FilterPair(low=low, high=high, kind=kind)
+    return FilterPair(low=low, high=high)
 
 
-# Every kind's pair, built and validated once; its arrays are read-only,
-# so no caller can change the cached filters.
+# Every kind's pair, built once; its arrays are read-only, so no caller
+# can change the cached filters.
 _BANKS = {kind: _build_bank(kind) for kind in FilterKind}
 
 
 def filter_bank(kind: FilterKind | str) -> FilterPair:
-    """Return the validated analysis filter pair for a supported kind."""
+    """Return the cached analysis filter pair for a supported kind."""
     return _BANKS[FilterKind(kind)]
 
 
@@ -100,13 +85,10 @@ class WaveletPyramid:
     """Per-level sub-series of a decomposed signal, each reconstructed to
     the original length, plus the half-rate coefficients they came from."""
 
-    levels: int
-    original: np.ndarray
     approx: list  # approx[i-1] is the level-i low branch, [..., T]
     detail: list  # detail[i-1] is the level-i high branch, [..., T]
     raw_low: list  # half-rate low coefficients per level
     raw_high: list  # half-rate high coefficients per level
-    kind: FilterKind
 
 
 def _analysis_step(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
@@ -197,9 +179,8 @@ def mdwd(x, n_levels: int,
                                       input_lengths)]
     for lvl in range(n_levels - 1, 0, -1):
         approx.insert(0, approx[0] + detail[lvl])
-    return WaveletPyramid(
-        levels=n_levels, original=x, approx=approx, detail=detail,
-        raw_low=raw_low, raw_high=raw_high, kind=pair.kind)
+    return WaveletPyramid(approx=approx, detail=detail, raw_low=raw_low,
+                          raw_high=raw_high)
 
 
 @dataclass(frozen=True)

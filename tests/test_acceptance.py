@@ -74,7 +74,7 @@ class TestGradientCorrectness:
         x = rng.normal(size=64)
         y = rng.normal(size=8)
         # every run of the check decomposes the same x: do it once
-        pyramid = wv.mdwd(x, cfg.wavelet_levels, cfg.wavelet_kind)
+        pyramid = wv.mdwd(x, cfg.n_stacks - 1, cfg.wavelet_kind)
         monkeypatch.setattr(md, "mdwd", lambda *args: pyramid)
 
         def build(tape, leaves):

@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import inspect
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import typing
 from functools import partial
 from pathlib import Path
@@ -328,6 +331,20 @@ class TestExitCodes:
         if fault == "huge_field":
             assert str(data) in err
 
+    @pytest.mark.parametrize("char", ["\n", "\r"])
+    def test_line_break_in_message_is_escaped(self, char, tmp_path, capsys):
+        data = tmp_path / f"header{char}only.csv"
+        data.write_text("t,value\n")
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text(with_entries(f"data = {json.dumps(str(data))}"))
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        escaped = str(data).replace(char, {"\n": r"\n", "\r": r"\r"}[char])
+        err = capsys.readouterr().err
+        assert err == f"error: no data rows in {escaped}\n", err
+        # a message without a line break keeps its bytes
+        assert errors.describe(ValueError("a, b\\n\t")) == "a, b\\n\t"
+
     def test_every_key_is_type_checked(self):
         def mistyped(kind):
             if typing.get_origin(kind) is typing.Union:  # Optional[X]
@@ -446,6 +463,51 @@ class TestExitCodes:
         assert done.returncode == 3
         assert done.stderr == (
             "runtime error: no finite validation loss after 1 epoch(s)\n")
+
+
+# every key outside ablate.*, each set alone in TINY_CONFIG to one of these
+FUZZ_KEYS = sorted(key for key in cfgmod._SCHEMA
+                   if not key.startswith("ablate."))
+EDGE_VALUES = [0, 1, -1, 64, 1e-300, 1e300, 0.999, 1.5, "", "unknown", [],
+               [0], [1], [3, 2], None, True]
+
+
+def _run_quietly(argv):
+    """`cli.main`'s exit code and stderr text; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+class TestExitCodeFuzz:
+    """The exit-code contract over the config schema's keys."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              database=None)
+    @given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(EDGE_VALUES))
+    def test_edge_values_keep_exit_code_contract(self, key, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(with_entries(f"{key} = {json.dumps(value)}"))
+            results = {}
+            for command in ("train", "decompose"):
+                code, err = results[command] = _run_quietly(
+                    [command, "--config", str(cfg),
+                     "--out", str(Path(tmp) / command)])
+                assert code in (0, 2, 3), (command, err)
+                if code:
+                    assert err.endswith("\n") and err.count("\n") == 1, err
+                assert "internal error:" not in err
+            # a fault every ablation cell would hit ends the grid before
+            # it runs, as it ends `train`
+            if results["train"][0] == 2:
+                out = Path(tmp) / "ablate"
+                assert _run_quietly(
+                    ["ablate", "--config", str(cfg), "--axis", "alpha",
+                     "--out", str(out)]) == results["train"]
+                assert not (out / "ablation_alpha.csv").exists()
 
 
 class TestDecompose:
@@ -601,22 +663,38 @@ class TestAblate:
         assert csvs[0] == csvs[1]
         assert b"\n9,0,,,,,ValueError: lookback too short" in csvs[0]
 
-    def test_failure_with_comma_keeps_seven_fields(self, tmp_path):
-        # a val partition of 12 points is too short for a 16+4 window
+    def test_failure_with_comma_keeps_seven_fields(self, tmp_path,
+                                                   monkeypatch):
+        def failing(task):
+            raise errors.PartitionTooShort("val partition, cut\r\nshort")
+
+        monkeypatch.setattr(cli, "_run_cell", failing)
         cfg = tmp_path / "ab.cfg"
-        cfg.write_text(with_entries("synthetic.length = 128") +
-                       "ablate.alpha_grid = [0.0, 0.4]\n"
+        cfg.write_text(TINY_CONFIG + "ablate.alpha_grid = [0.0, 0.4]\n"
                        "ablate.repetitions = 2\n")
         out = tmp_path / "ab"
         assert cli.main(["ablate", "--config", str(cfg), "--axis", "alpha",
                          "--out", str(out)]) == 0
         with open(out / "ablation_alpha.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        message = "PartitionTooShort: val partition has 12 points, needs 20"
+        message = "PartitionTooShort: val partition, cut\\r\\nshort"
         assert rows[1:] == [[value, "0", "", "", "", "",
                              f"{message};{message}"]
                             for value in ("0.0", "0.4")]
         assert all(len(row) == 7 for row in rows)
+
+    @pytest.mark.parametrize("axis", cli.ABLATION_AXES)
+    def test_input_fault_of_every_cell_exits_two(self, axis, tmp_path,
+                                                 capsys):
+        # a val partition of 12 points is too short for a 16+4 window
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text(with_entries("synthetic.length = 128"))
+        out = tmp_path / "ab"
+        assert cli.main(["ablate", "--config", str(cfg), "--axis", axis,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: val partition has 12 points, needs 20\n")
+        assert not list(out.iterdir())
 
     def test_unknown_axis_rejected(self, tiny_config, capsys):
         with pytest.raises(SystemExit):

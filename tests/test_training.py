@@ -530,9 +530,10 @@ class TestTrainLoop:
             rng.shuffle(order)
             losses = []
             for start in range(0, len(order), tcfg.batch_size):
-                loss, grads = tr._batch_grads(
+                grads = _nan_buffers(params)
+                loss = tr._batch_grads(
                     order[start:start + tcfg.batch_size], train_w, params,
-                    cfg, rng)
+                    cfg, rng, grads)
                 if freeze:
                     grads = {k: np.zeros_like(g) if ".conv" in k else g
                              for k, g in grads.items()}
@@ -742,14 +743,14 @@ class TestCallIsolation:
         calls = []
 
         def poisoned(*args):
-            loss, grads = batch_grads(*args)
+            loss = batch_grads(*args)
             calls.append(None)
             if len(calls) == 3:  # after two steps have moved the buffers
                 # the gradient vector that the buffers passed in view
                 vector = next(iter(args[-1].values())).base
                 assert vector.ndim == 1 and vector.flags.owndata
                 vector[0] = np.nan
-            return loss, grads
+            return loss
 
         monkeypatch.setattr(tr, "_batch_grads", poisoned)
         with pytest.raises(NonFiniteGradient):
@@ -799,6 +800,11 @@ class TestWindowSetForecast:
         }
 
 
+def _nan_buffers(params):
+    """Gradient buffers shaped as `params`, NaN until written."""
+    return {k: np.full_like(v, np.nan) for k, v in params.items()}
+
+
 def _per_window_grads(batch, windows, params, cfg, rng):
     """The reference for `_batch_grads`: one tape per window, the batch's
     mean loss and gradients accumulated window by window."""
@@ -839,8 +845,9 @@ class TestBatchGrads:
         windows = _toy_windows(n=80, lookback=32, horizon=4, seed=seed % 7)
         params = md.init_params(cfg, seed=seed % 5)
         batch = np.random.default_rng(seed).permutation(len(windows))[:size]
-        loss, grads = tr._batch_grads(batch, windows, params, cfg,
-                                      np.random.default_rng(seed))
+        grads = _nan_buffers(params)
+        loss = tr._batch_grads(batch, windows, params, cfg,
+                               np.random.default_rng(seed), grads)
         ref_loss, ref_grads = _per_window_grads(
             batch, windows, params, cfg, np.random.default_rng(seed))
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
@@ -863,9 +870,9 @@ class TestBatchGrads:
         first = next(j for j in batch if j in bad)
         with pytest.raises(NonFiniteLoss,
                            match=f"window index {first}$"):
-            tr._batch_grads(np.array(batch), poisoned,
-                            md.init_params(tiny_cfg()), tiny_cfg(),
-                            np.random.default_rng(0))
+            params = md.init_params(tiny_cfg())
+            tr._batch_grads(np.array(batch), poisoned, params, tiny_cfg(),
+                            np.random.default_rng(0), _nan_buffers(params))
 
 
 class TestCheckpoint:
