@@ -107,14 +107,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape) -> Tensor:
             f"affine shapes do not conform: W{w.value.shape} x{x.value.shape} "
             f"b{b.value.shape}")
     y = x.value @ w.value.T + b.value
-    batched = x.value.ndim == 2
+    # one vector is a batch of one: g [m] and x [n] as rows [1, m], [1, n]
     return tape.tensor(y, (
         (w, lambda g, out=None, xv=x.value:
-            np.matmul(g.T, xv, out=out) if batched
-            else np.outer(g, xv, out=out)),
+            np.matmul(g.reshape(-1, m).T, xv.reshape(-1, n), out=out)),
         (x, lambda g, wv=w.value: g @ wv),
-        (b, (lambda g, out=None: g.sum(axis=0, out=out)) if batched
-            else (lambda g: g)),
+        (b, lambda g, out=None: g.reshape(-1, m).sum(axis=0, out=out)),
     ))
 
 

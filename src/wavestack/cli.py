@@ -22,7 +22,14 @@ from .config import RunConfig, load_run_config, resolved_config_text
 from .errors import InvalidInput, WavestackError, describe
 from .wavelet import mdwd
 
-ABLATION_AXES = ("alpha", "stacks", "conv", "ensemble_size", "noise")
+# each ablation axis and the config key of its grid
+ABLATION_AXES = {
+    "alpha": "ablate.alpha_grid",
+    "stacks": "ablate.stacks_grid",
+    "conv": "ablate.conv_grid",
+    "ensemble_size": "ablate.ensemble_grid",
+    "noise": "ablate.noise_grid",
+}
 
 
 def _load_series(run: RunConfig) -> np.ndarray:
@@ -105,10 +112,8 @@ def cmd_forecast(run: RunConfig, out: Path, checkpoint: str) -> None:
                         bundle.per_stack_forecast[i - 1])
         dataio.save_csv(out / f"stack{i}.backcast.csv",
                         bundle.per_stack_backcast[i - 1])
-        infused = bundle.infused_signals[i - 1]
-        if infused is None:
-            infused = np.zeros(run.model.lookback)
-        dataio.save_csv(out / f"stack{i}.infused.csv", infused)
+        dataio.save_csv(out / f"stack{i}.infused.csv",
+                        bundle.infused_signals[i - 1])
     total = np.sum(bundle.per_stack_forecast, axis=0)
     print(f"forecast horizon {run.model.horizon}; stack-sum max dev "
           f"{np.max(np.abs(total - bundle.global_forecast)):.3e}")
@@ -166,7 +171,6 @@ def _run_cell(args):
         model_cfg = replace(model_cfg, n_stacks=value, kernel_sizes=None)
     elif axis == "conv":
         model_cfg = replace(model_cfg, conv_variant=value)
-    run = replace(run, model=model_cfg, train=train_cfg)
     _, _, windows = _prepare(run, _cell_series(run, axis, value, rep))
     test = windows["test"]
     if axis == "ensemble_size":
@@ -193,16 +197,10 @@ def _try_cell(task):
 
 
 def cmd_ablate(run: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
-    grid = {
-        "alpha": run["ablate.alpha_grid"],
-        "stacks": run["ablate.stacks_grid"],
-        "conv": run["ablate.conv_grid"],
-        "ensemble_size": run["ablate.ensemble_grid"],
-        "noise": run["ablate.noise_grid"],
-    }[axis]
+    grid = run[ABLATION_AXES[axis]]
     reps = run["ablate.repetitions"]
-    if grid:  # an input fault that every cell would hit exits 2 here
-        _prepare(run, _cell_series(run, axis, grid[0], 0))
+    # an input fault that every cell would hit exits 2 here
+    _prepare(run, _cell_series(run, axis, grid[0], 0))
     tasks = [(run, axis, value, rep) for value in grid
              for rep in range(reps)]
     workers = min(jobs, len(tasks))  # a pool forks every worker up front

@@ -142,6 +142,9 @@ def load_run_config(path=None, text=None) -> RunConfig:
         options["decompose.levels"] = max(1, model.n_stacks - 1)
     if options["decompose.kind"] is None:
         options["decompose.kind"] = model.wavelet_kind
+    for key, values in options.items():
+        if key.endswith("_grid") and not values:
+            raise ConfigError(f"{key} must hold at least one value")
     for key, low in (("stride", 1), ("synthetic.length", 1),
                      ("synthetic.noise", 0), ("synthetic.seed", 0),
                      ("decompose.levels", 1),

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -115,11 +115,7 @@ def standardize(dataset: Dataset) -> tuple:
     if std <= 0.0:
         raise ZeroVariance("train partition has zero variance")
     scaler = Scaler(mean=mean, std=std)
-    scaled = Dataset(raw=(dataset.raw - mean) / std,
-                     train_range=dataset.train_range,
-                     val_range=dataset.val_range,
-                     test_range=dataset.test_range)
-    return scaled, scaler
+    return replace(dataset, raw=(dataset.raw - mean) / std), scaler
 
 
 def destandardize(series, scaler: Scaler) -> np.ndarray:

@@ -148,10 +148,11 @@ def param_shapes(cfg: ModelConfig) -> dict:
     return shapes
 
 
-def init_params(cfg: ModelConfig, seed: Optional[int] = None) -> dict:
-    """Deterministic parameter initialization: Xavier-uniform affine
-    weights, zero biases, delta-initialized convolution kernels."""
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+def init_params(cfg: ModelConfig) -> dict:
+    """Deterministic parameter initialization from `cfg.seed`:
+    Xavier-uniform affine weights, zero biases, delta-initialized
+    convolution kernels."""
+    rng = np.random.default_rng(cfg.seed)
     params = {}
     for name, shape in param_shapes(cfg).items():
         if name.endswith(".W"):
@@ -254,8 +255,9 @@ def _forward(x, cfg: ModelConfig, leaves: dict, tape: Tape,
     if rng is not None and cfg.dropout_rate > 0.0:
         layers = cfg.n_stacks * cfg.blocks_per_stack * cfg.hidden_depth
         draws = rng.random(x.shape[:-1] + (layers, cfg.hidden_width))
-    branches = [None]  # one stack: alpha is 0, nothing to blend
-    if cfg.n_stacks >= 2:
+    if cfg.n_stacks == 1:  # alpha is 0: the one stack blends nothing in
+        branches = [np.zeros_like(x)]
+    else:
         pyramid = mdwd(x, cfg.n_stacks - 1, cfg.wavelet_kind)
         branches = [pyramid.approx[-1]] + pyramid.detail[::-1]
     x_in = tape.tensor(x)

@@ -169,8 +169,8 @@ def _sum_squares(g: np.ndarray) -> float:
         return g @ g
 
 
-def adam_step(state: TrainState, lr: float, cfg: TrainConfig,
-              sq: Optional[float] = None, last: bool = False) -> None:
+def adam_step(state: TrainState, lr: float, cfg: TrainConfig, sq: float,
+              last: bool = False) -> None:
     """In-place bias-corrected Adam update of `state.weights` from
     `state.grads`.  Each chunk of ADAM_CHUNK elements takes the
     per-tensor expressions `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g`
@@ -186,13 +186,12 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig,
     holds.  The weights take the same bits.  A first step that is also
     last touches neither moment vector.
 
-    `sq` is the gradients' sum of squares, `_sum_squares(state.grads)`
-    when not given; a non-finite element makes it non-finite (so do
-    finite elements whose squares overflow).  Raises NonFiniteGradient,
-    naming the first bad tensor in layout order, before it writes
-    anything."""
+    `sq` is the gradients' sum of squares, `_sum_squares(state.grads)`;
+    a non-finite element makes it non-finite (so do finite elements
+    whose squares overflow).  Raises NonFiniteGradient, naming the first
+    bad tensor in layout order, before it writes anything."""
     p, g, m, v = state.weights, state.grads, state.m, state.v
-    if not np.isfinite(_sum_squares(g) if sq is None else sq):
+    if not np.isfinite(sq):
         bad = next((name for name, where, _ in state.slots
                     if not np.isfinite(g[where]).all()), None)
         if bad is not None:
@@ -226,12 +225,11 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig,
         p_ -= np.divide(s1, s2, out=s1)
 
 
-def _clip_grads(g: np.ndarray, max_norm: float,
-                sq: Optional[float] = None) -> float:
+def _clip_grads(g: np.ndarray, max_norm: float, sq: float) -> float:
     """Scale the gradient vector in place to a norm of at most
     `max_norm`; returns the norm before clipping.  `sq` is the vector's
-    sum of squares, `_sum_squares(g)` when not given."""
-    total = np.sqrt(_sum_squares(g) if sq is None else sq)
+    sum of squares, `_sum_squares(g)`."""
+    total = np.sqrt(sq)
     big = 1.0
     if total == np.inf and np.isfinite(g).all():
         # finite gradients whose squares overflow: take the norm of
@@ -268,17 +266,20 @@ def _batch_grads(batch_idx, windows, params, model_cfg, rng, out) -> float:
 def forecast(inputs, params: dict, model_cfg) -> np.ndarray:
     """Inference-mode global forecasts of a window set [N, T], shape
     [N, H].  The one place that forecasts many windows: one forward pass
-    per FORECAST_CHUNK windows, on a tape that records nothing.  It calls
-    `md.model_forward` by its module attribute so that wrappers installed
-    there see every call."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2:
-        raise ShapeMismatch(f"expected a window set [N, T], got "
-                            f"{inputs.shape}")
-    return np.concatenate([
-        md.model_forward(inputs[start:start + FORECAST_CHUNK], params,
-                         model_cfg, InferenceTape()).global_forecast
-        for start in range(0, len(inputs), FORECAST_CHUNK)])
+    per FORECAST_CHUNK windows, on a tape that records nothing.  Each
+    chunk is converted to an array on its own, so no copy of the whole
+    set is made.  It calls `md.model_forward` by its module attribute so
+    that wrappers installed there see every call."""
+    forecasts = []
+    for start in range(0, max(len(inputs), 1), FORECAST_CHUNK):
+        chunk = np.asarray(inputs[start:start + FORECAST_CHUNK],
+                           dtype=np.float64)
+        if chunk.ndim != 2:
+            raise ShapeMismatch(f"expected a window set [N, T], got "
+                                f"windows of shape {chunk.shape[1:]}")
+        forecasts.append(md.model_forward(
+            chunk, params, model_cfg, InferenceTape()).global_forecast)
+    return np.concatenate(forecasts)
 
 
 def evaluate(windows: WindowSet, params: dict, model_cfg) -> dict:
@@ -318,7 +319,6 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
     frozen = [where for name, where, _ in state.slots
               if model_cfg.freeze_conv and ".conv" in name]
     rng = np.random.default_rng(cfg.seed)
-    batch_size = min(cfg.batch_size, len(train_windows))
     history = []
     best_val, best_epoch, since_best = np.inf, -1, 0
     best = None  # the best epoch's weights, once a later epoch runs
@@ -333,8 +333,8 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
         if cfg.shuffle:
             rng.shuffle(order)
         epoch_losses = []
-        for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
             loss = _batch_grads(batch, train_windows, params, model_cfg,
                                 rng, grads)
             for where in frozen:
@@ -344,7 +344,7 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
                 _clip_grads(state.grads, cfg.grad_clip, sq)
             # no step follows a call's last to read its moments
             last = (epoch == cfg.epochs - 1
-                    and start + batch_size >= len(order))
+                    and start + cfg.batch_size >= len(order))
             # clipping scales by at most 1, and not at all when sq is not
             # finite, so the elements sq found finite stay finite
             adam_step(state, lr, cfg, sq, last=last)

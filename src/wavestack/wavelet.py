@@ -57,9 +57,6 @@ class FilterPair:
     low: np.ndarray
     high: np.ndarray
 
-    def __len__(self):
-        return len(self.low)
-
 
 def _build_bank(kind: FilterKind) -> FilterPair:
     low = np.asarray(_LOW_PASS[kind], dtype=np.float64)

@@ -19,7 +19,7 @@ def _detached_forward(x, params, cfg):
         x_conv = md.stack_conv(i, residual, cfg, leaves, tape)
         backcast, forecast = md.stack_forward(i, x_conv, cfg, leaves, tape)
         backcast = ad.pad_left(backcast,
-                               cfg.lookback - backcast.value.shape[0], tape)
+                               cfg.lookback - backcast.value.shape[-1], tape)
         total = forecast.value if total is None else total + forecast.value
         forecasts.append(forecast.value)
         backcasts.append(backcast.value)

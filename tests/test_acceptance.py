@@ -3,6 +3,7 @@ correctness, architectural identities, directional benchmark trends and
 CLI determinism, each with an explicit tolerance and runtime budget."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ class TestArchitecturalIdentities:
                              kernel_sizes=(5, 3, 3), dropout_rate=0.0)
         rng = np.random.default_rng(3)
         for draw in range(50):
-            params = md.init_params(cfg, seed=draw)
+            params = md.init_params(replace(cfg, seed=draw))
             x = rng.normal(size=64)
             bundle = md.model_forward(x, params, cfg, Tape())
             # global forecast is the exact ordered sum of stack forecasts

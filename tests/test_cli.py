@@ -104,9 +104,9 @@ VALID_ENTRIES = {
     "synthetic.noise": st.floats(0.0, 1.0) | st.just(0),
     "decompose.levels": st.none() | st.integers(1, 6),
     "ablate.alpha_grid": st.lists(st.floats(0.0, 1.0) | st.just(1),
-                                  max_size=4),
+                                  min_size=1, max_size=4),
     "ablate.conv_grid": st.lists(st.sampled_from(CONV_VARIANTS),
-                                 max_size=3),
+                                 min_size=1, max_size=3),
 }
 
 
@@ -373,6 +373,17 @@ class TestExitCodes:
                    and issubclass(obj, errors.WavestackError)}
         assert classes == set(self.EXIT_CODES)
 
+    def test_readme_exit_two_row_names_every_invalid_input(self):
+        readme = Path(__file__).parents[1] / "README.md"
+        rows = [line.split("|") for line in readme.read_text().splitlines()
+                if line.startswith("| 2 |") and "`InvalidInput`" in line]
+        assert len(rows) == 1, rows
+        named = set(re.findall(r"`(\w+)`", rows[0][3]))
+        subclasses = {name for name, obj in vars(errors).items()
+                      if inspect.isclass(obj)
+                      and issubclass(obj, errors.InvalidInput)}
+        assert named == subclasses
+
     @pytest.mark.parametrize("exc,code,prefix", [
         *(pytest.param(getattr(errors, name)("boom"), code,
                        "error: " if code == 2 else "runtime error: ", id=name)
@@ -634,6 +645,39 @@ class TestDeterminism:
                      "resolved_config.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_train_seed_unread_without_shuffle_or_dropout(self, tmp_path):
+        # train.seed draws only the batch order and the dropout masks, so
+        # with neither it changes no byte; with shuffling it does
+        ckpts = {}
+        for shuffle in ("false", "true"):
+            for seed in (1, 2):
+                cfg = tmp_path / f"{shuffle}{seed}.cfg"
+                cfg.write_text(with_entries(f"train.shuffle = {shuffle}",
+                                            f"train.seed = {seed}"))
+                out = tmp_path / f"{shuffle}{seed}"
+                assert cli.main(["train", "--config", str(cfg),
+                                 "--out", str(out)]) == 0
+                ckpts[shuffle, seed] = (out / "checkpoint.txt").read_bytes()
+        assert ckpts["false", 1] == ckpts["false", 2]
+        assert ckpts["true", 1] != ckpts["true", 2]
+
+    def test_bootstrap_ensemble_ablation_reruns_byte_identically(
+            self, tmp_path):
+        csvs = []
+        for run, bootstrap in enumerate(("true", "true", "false")):
+            cfg = tmp_path / f"{run}.cfg"
+            cfg.write_text(with_entries(
+                "model.seed = 7", f"ensemble.bootstrap = {bootstrap}",
+                "ablate.ensemble_grid = [2]", "ablate.repetitions = 1"))
+            out = tmp_path / f"{run}"
+            assert cli.main(["ablate", "--config", str(cfg), "--axis",
+                             "ensemble_size", "--out", str(out)]) == 0
+            csvs.append((out / "ablation_ensemble_size.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        rows = [text.splitlines() for text in csvs[1:]]
+        assert len(rows[0]) == len(rows[1]) == 2
+        assert rows[0][0] == rows[1][0] and rows[0][1] != rows[1][1]
+
 
 class TestAblate:
     def test_alpha_axis(self, tmp_path):
@@ -695,6 +739,20 @@ class TestAblate:
         assert capsys.readouterr().err == (
             "error: val partition has 12 points, needs 20\n")
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("axis", cli.ABLATION_AXES)
+    def test_empty_grid_exits_two(self, axis, tmp_path, capsys):
+        # `data` names a missing file, which no command reaches: the
+        # config check ends both before any input is read
+        key = cli.ABLATION_AXES[axis]
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text(with_entries(f"{key} = []", 'data = "missing.csv"'))
+        for command in (["train"], ["ablate", "--axis", axis]):
+            assert cli.main([*command, "--config", str(cfg),
+                             "--out", str(tmp_path / command[0])]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {key} must hold at least one value\n")
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_unknown_axis_rejected(self, tiny_config, capsys):
         with pytest.raises(SystemExit):

@@ -5,6 +5,7 @@ fixture under `data/v1` was written by that code."""
 
 import csv
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +216,7 @@ def _damage(text, steps):
 
 
 class TestCheckpointReader:
-    BASE = md.init_params(TINY, seed=4)
+    BASE = md.init_params(replace(TINY, seed=4))
 
     def _check(self, tmp_path, data):
         path = tmp_path / "ckpt.txt"

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,8 @@ class TestInitParams:
     @pytest.mark.parametrize("overrides,seed,digest", DIGESTS)
     def test_values_unchanged(self, overrides, seed, digest):
         cfg = md.ModelConfig(**overrides)
-        params = md.init_params(cfg, seed=seed)
+        params = md.init_params(cfg if seed is None
+                                else replace(cfg, seed=seed))
         h = hashlib.sha256()
         for name, arr in params.items():
             h.update(f"{name} {arr.shape}\n".encode())
@@ -247,8 +249,9 @@ class TestModelForward:
                         conv_variant="dcn", kernel_sizes=(3, 3, 3))
         params = md.init_params(cfg)
         rng = np.random.default_rng(8)
-        for _ in range(5):
-            x = rng.normal(size=32)
+        # five windows one at a time, then a batch of five
+        for size in [32] * 5 + [(5, 32)]:
+            x = rng.normal(size=size)
             b1 = md.model_forward(x, params, cfg, Tape())
             total, forecasts, _ = detached_forward(x, params, cfg)
             np.testing.assert_array_equal(b1.global_forecast, total)

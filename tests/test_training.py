@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -149,7 +150,12 @@ def _step(state, grads, lr, cfg, last=False):
     """One Adam step of `state` from the gradient tensors `grads`."""
     np.concatenate([grads[name].reshape(-1) for name, _, _ in state.slots],
                    out=state.grads)
-    tr.adam_step(state, lr, cfg, last=last)
+    tr.adam_step(state, lr, cfg, tr._sum_squares(state.grads), last=last)
+
+
+def _clip(g, max_norm):
+    """`_clip_grads` of `g` with the sum of squares `train` passes it."""
+    return tr._clip_grads(g, max_norm, tr._sum_squares(g))
 
 
 def _per_tensor_adam(params, grads, m, v, t, lr, cfg):
@@ -206,10 +212,10 @@ class TestAdam:
 
     def test_grad_clip(self):
         grads = np.array([3.0, 4.0])  # norm 5
-        tr._clip_grads(grads, 1.0)
+        _clip(grads, 1.0)
         np.testing.assert_allclose(grads, [0.6, 0.8])
         grads = np.array([0.3, 0.4])
-        tr._clip_grads(grads, 1.0)
+        _clip(grads, 1.0)
         np.testing.assert_allclose(grads, [0.3, 0.4])
 
     def test_clip_norm_whose_square_overflows(self):
@@ -218,7 +224,7 @@ class TestAdam:
         grads = np.array([1e200, 1e200, 3.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            norm = tr._clip_grads(grads, 10.0)
+            norm = _clip(grads, 10.0)
         assert norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
         np.testing.assert_allclose(grads[:2], [10.0 / np.sqrt(2.0)] * 2,
                                    rtol=1e-15)
@@ -231,10 +237,10 @@ class TestAdam:
         grads = np.array([np.inf, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert tr._clip_grads(grads, 10.0) == np.inf
+            assert _clip(grads, 10.0) == np.inf
         np.testing.assert_array_equal(grads, [np.inf, 1.0])
         grads = np.array([np.nan, 1.0, 2.0])
-        assert np.isnan(tr._clip_grads(grads, 1.0))
+        assert np.isnan(_clip(grads, 1.0))
         np.testing.assert_array_equal(grads[1:], [1.0, 2.0])
 
     @settings(max_examples=40, deadline=None)
@@ -388,7 +394,7 @@ class TestAdam:
         grads = _random_tensors(shapes, rng)
         per_tensor = np.sqrt(sum(float(np.sum(g * g))
                                  for g in grads.values()))
-        norm = tr._clip_grads(np.concatenate(
+        norm = _clip(np.concatenate(
             [g.reshape(-1) for g in grads.values()]), np.inf)
         assert norm == pytest.approx(per_tensor, rel=1e-12, abs=0)
 
@@ -398,14 +404,14 @@ class TestAdam:
         rng = np.random.default_rng(seed)
         original = np.concatenate([g.reshape(-1) for g in _random_tensors(
             shapes, rng).values()])
-        norm = tr._clip_grads(original.copy(), np.inf)
+        norm = _clip(original.copy(), np.inf)
         kept = original.copy()
-        assert tr._clip_grads(kept, norm * (1.0 + 1e-9)) == norm
+        assert _clip(kept, norm * (1.0 + 1e-9)) == norm
         np.testing.assert_array_equal(kept, original)
         clipped = original.copy()
-        tr._clip_grads(clipped, norm / 2.0)
+        _clip(clipped, norm / 2.0)
         np.testing.assert_array_equal(clipped, original * ((norm / 2.0) / norm))
-        assert tr._clip_grads(clipped, np.inf) == \
+        assert _clip(clipped, np.inf) == \
             pytest.approx(norm / 2.0, rel=1e-12)
 
 
@@ -511,7 +517,7 @@ class TestTrainLoop:
         val_w = _toy_windows(n=24, lookback=16, seed=1)
         tcfg = tr.TrainConfig(learning_rate=lr, epochs=3, batch_size=8,
                               grad_clip=clip, seed=3)
-        init = md.init_params(cfg, seed=2)
+        init = md.init_params(replace(cfg, seed=2))
         init_copy = {k: v.copy() for k, v in init.items()}
         init_ids = {k: id(v) for k, v in init.items()}
         result = tr.train(cfg, train_w, val_w, tcfg, init=init)
@@ -625,6 +631,26 @@ class TestMemory:
             tracemalloc.stop()
         assert vector == 8 * 138_486
         assert peak <= 7.0 * vector, peak / vector
+
+    def test_evaluate_peak_does_not_grow_with_the_set(self):
+        """`forecast` converts one FORECAST_CHUNK of windows at a time, so
+        evaluating 20,000 windows peaks below twice what 256 windows do;
+        a copy of the whole [N, T] set would add 115 MB."""
+        cfg = md.ModelConfig(n_stacks=2, blocks_per_stack=1, lookback=720,
+                             horizon=8, hidden_depth=1, hidden_width=8,
+                             conv_variant="none", dropout_rate=0.0)
+        params = md.init_params(cfg)
+        peaks = []
+        for n in (256, 20_000):
+            windows = _toy_windows(n=n + 727, lookback=720, horizon=8)
+            assert len(windows) == n
+            tracemalloc.start()
+            try:
+                tr.evaluate(windows, params, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
     def test_chained_one_step_calls_peak_rss_below_four_vectors(self):
         """Four one-step `train` calls on a 2.1M-parameter model, chained
@@ -843,7 +869,7 @@ class TestBatchGrads:
                                      seed):
         cfg = _batch_cfg(kind, variant, dropout)
         windows = _toy_windows(n=80, lookback=32, horizon=4, seed=seed % 7)
-        params = md.init_params(cfg, seed=seed % 5)
+        params = md.init_params(replace(cfg, seed=seed % 5))
         batch = np.random.default_rng(seed).permutation(len(windows))[:size]
         grads = _nan_buffers(params)
         loss = tr._batch_grads(batch, windows, params, cfg,
