@@ -16,10 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, ensemble as ens, training as tr
-from . import model as md
-from .autodiff import InferenceTape
 from .config import RunConfig, load_run_config, resolved_config_text
-from .errors import InvalidInput, WavestackError, describe
+from .errors import ConfigError, InvalidInput, WavestackError, describe
 from .wavelet import mdwd
 
 # each ablation axis and the config key of its grid
@@ -104,16 +102,16 @@ def cmd_train(run: RunConfig, out: Path) -> None:
 def cmd_forecast(run: RunConfig, out: Path, checkpoint: str) -> None:
     dataset, _, _ = _prepare(run)
     params, _ = tr.load_checkpoint(checkpoint, run.model)
-    window = dataset.raw[-run.model.lookback:]
-    bundle = md.model_forward(window, params, run.model, InferenceTape())
-    dataio.save_csv(out / "global.csv", bundle.global_forecast)
+    bundle, = tr.forecast_bundles([dataset.raw[-run.model.lookback:]],
+                                  params, run.model)
+    dataio.save_csv(out / "global.csv", bundle.global_forecast[0])
     for i in range(1, run.model.n_stacks + 1):
         dataio.save_csv(out / f"stack{i}.forecast.csv",
-                        bundle.per_stack_forecast[i - 1])
+                        bundle.per_stack_forecast[i - 1][0])
         dataio.save_csv(out / f"stack{i}.backcast.csv",
-                        bundle.per_stack_backcast[i - 1])
+                        bundle.per_stack_backcast[i - 1][0])
         dataio.save_csv(out / f"stack{i}.infused.csv",
-                        bundle.infused_signals[i - 1])
+                        bundle.infused_signals[i - 1][0])
     total = np.sum(bundle.per_stack_forecast, axis=0)
     print(f"forecast horizon {run.model.horizon}; stack-sum max dev "
           f"{np.max(np.abs(total - bundle.global_forecast)):.3e}")
@@ -124,11 +122,11 @@ def cmd_eval(run: RunConfig, out: Path, checkpoint: str,
     _, scaler, windows = _prepare(run)
     params, _ = tr.load_checkpoint(checkpoint, run.model)
     test = windows["test"]
-    inputs, targets = np.array(test.inputs), np.array(test.targets)
-    forecasts = {"model": tr.forecast(inputs, params, run.model)}
+    targets = np.array(test.targets)
+    forecasts = {"model": tr.forecast(test.inputs, params, run.model)}
     if baseline:
-        forecasts["persistence"] = np.repeat(
-            inputs[:, -1:], run.model.horizon, axis=1)
+        last = np.array([x[-1:] for x in test.inputs])
+        forecasts["persistence"] = np.repeat(last, run.model.horizon, axis=1)
     rows = []
     for label, pred in forecasts.items():
         rows.append(("standardized", label, tr.mse(pred, targets),
@@ -159,18 +157,26 @@ def _cell_series(run: RunConfig, axis: str, value, rep: int) -> np.ndarray:
     return _load_series(run)
 
 
+def _cell_model(run: RunConfig, axis: str, value, seed: int):
+    """The model config of an ablation cell: the run's, with `seed` and,
+    on the alpha, stacks or conv axis, the cell's value.  Raises
+    ValueError when that model cannot be built."""
+    model_cfg = replace(run.model, seed=seed)
+    if axis == "alpha":
+        return replace(model_cfg, alpha=value)
+    if axis == "stacks":
+        return replace(model_cfg, n_stacks=value, kernel_sizes=None)
+    if axis == "conv":
+        return replace(model_cfg, conv_variant=value)
+    return model_cfg
+
+
 def _run_cell(args):
     """One seeded (cell, repetition) experiment; returns test MSE/MAE."""
     run, axis, value, rep = args
     seed = run.model.seed + 101 * rep
-    model_cfg = replace(run.model, seed=seed)
+    model_cfg = _cell_model(run, axis, value, seed)
     train_cfg = replace(run.train, seed=seed)
-    if axis == "alpha":
-        model_cfg = replace(model_cfg, alpha=value)
-    elif axis == "stacks":
-        model_cfg = replace(model_cfg, n_stacks=value, kernel_sizes=None)
-    elif axis == "conv":
-        model_cfg = replace(model_cfg, conv_variant=value)
     _, _, windows = _prepare(run, _cell_series(run, axis, value, rep))
     test = windows["test"]
     if axis == "ensemble_size":
@@ -199,6 +205,16 @@ def _try_cell(task):
 def cmd_ablate(run: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
     grid = run[ABLATION_AXES[axis]]
     reps = run["ablate.repetitions"]
+    # a grid none of whose models builds is a config fault; a seed cannot
+    # make a build fail, so repetition 0's seed checks every repetition
+    faults = []
+    for value in grid:
+        try:
+            _cell_model(run, axis, value, run.model.seed)
+        except ValueError as exc:
+            faults.append(exc)
+    if len(faults) == len(grid):
+        raise ConfigError(f"{ABLATION_AXES[axis]}: {faults[0]}")
     # an input fault that every cell would hit exits 2 here
     _prepare(run, _cell_series(run, axis, grid[0], 0))
     tasks = [(run, axis, value, rep) for value in grid

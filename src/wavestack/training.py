@@ -23,9 +23,9 @@ from .errors import (
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-# Windows per forward pass in `forecast`.  A pass holds a few arrays of
-# [chunk, lookback] per block, so the chunk bounds inference memory
-# however many windows a set has.
+# Windows per forward pass in `forecast_bundles`.  A pass holds a few
+# arrays of [chunk, lookback] per block, so the chunk bounds inference
+# memory however many windows a set has.
 FORECAST_CHUNK = 256
 
 
@@ -263,23 +263,27 @@ def _batch_grads(batch_idx, windows, params, model_cfg, rng, out) -> float:
     return float(loss.value)
 
 
-def forecast(inputs, params: dict, model_cfg) -> np.ndarray:
-    """Inference-mode global forecasts of a window set [N, T], shape
-    [N, H].  The one place that forecasts many windows: one forward pass
-    per FORECAST_CHUNK windows, on a tape that records nothing.  Each
-    chunk is converted to an array on its own, so no copy of the whole
-    set is made.  It calls `md.model_forward` by its module attribute so
-    that wrappers installed there see every call."""
-    forecasts = []
+def forecast_bundles(inputs, params: dict, model_cfg):
+    """Inference-mode forward passes over a window set [N, T], on a tape
+    that records nothing: one ForecastBundle per FORECAST_CHUNK windows,
+    whose parts hold the chunk's rows.  Each chunk is converted to an
+    array on its own, so no copy of the whole set is made; a consumer
+    that reduces each bundle as it comes holds one chunk's parts at a
+    time.  It calls `md.model_forward` by its module attribute so that
+    wrappers installed there see every call."""
     for start in range(0, max(len(inputs), 1), FORECAST_CHUNK):
         chunk = np.asarray(inputs[start:start + FORECAST_CHUNK],
                            dtype=np.float64)
         if chunk.ndim != 2:
             raise ShapeMismatch(f"expected a window set [N, T], got "
                                 f"windows of shape {chunk.shape[1:]}")
-        forecasts.append(md.model_forward(
-            chunk, params, model_cfg, InferenceTape()).global_forecast)
-    return np.concatenate(forecasts)
+        yield md.model_forward(chunk, params, model_cfg, InferenceTape())
+
+
+def forecast(inputs, params: dict, model_cfg) -> np.ndarray:
+    """Inference-mode global forecasts [N, H] of a window set [N, T]."""
+    return np.concatenate([bundle.global_forecast for bundle in
+                           forecast_bundles(inputs, params, model_cfg)])
 
 
 def evaluate(windows: WindowSet, params: dict, model_cfg) -> dict:

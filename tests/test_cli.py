@@ -521,6 +521,83 @@ class TestExitCodeFuzz:
                 assert not (out / "ablation_alpha.csv").exists()
 
 
+# a domain of values for each `_SCHEMA` key, for sweeps that set several
+# keys at once: edge values of the key's type, and for some keys the
+# values a run would set
+_BY_TYPE = {int: [0, 1, 2, -1], bool: [True, False],
+            float: [0.0, 0.05, 0.4, 1.0, 1.5, -0.1, 1e-300]}
+MULTI_KEY_DOMAINS = {
+    **{key: _BY_TYPE.get(kind, []) for key, (kind, _) in
+       cfgmod._SCHEMA.items()},
+    "spec_version": [1, 2],
+    "data": [None, "", "missing.csv"],
+    "value_column": ["value", "", "other"],
+    "stride": [0, 1, 4],
+    "synthetic.length": [0, 64, 128, 480, 960],
+    "decompose.levels": [None, 0, 1, 3, 9],
+    "decompose.kind": [None, "haar", "db2", "sym4", "unknown"],
+    "ablate.alpha_grid": [[], [0.0], [0.4, 1.0], [-0.1], [1.5]],
+    "ablate.stacks_grid": [[], [0], [1], [2, 3], [2, 9], [6]],
+    "ablate.conv_grid": [[], ["dcn"], ["none", "maxpool"],
+                         ["cnn", "avgpool"], ["unknown"]],
+    "ablate.ensemble_grid": [[], [0], [1], [1, 2]],
+    "ablate.noise_grid": [[], [0.0], [0.05, 1.0], [-0.1]],
+    "model.n_stacks": [0, 1, 2, 3, 6],
+    "model.lookback": [0, 4, 8, 16, 32],
+    "model.horizon": [0, 1, 4, 16],
+    "model.conv_variant": [*CONV_VARIANTS, "unknown"],
+    "model.kernel_sizes": [None, [], [3], [3, 3], [2, 3], [9, 9], [0, 0]],
+    "model.dilations": [[], [0], [1], [1, 2, 4]],
+    "model.wavelet_kind": ["haar", "db2", "sym4", "unknown"],
+    "model.theta_backcast_dim": [None, 0, 1, 8],
+    "model.theta_forecast_dim": [None, 0, 1, 8],
+    "train.learning_rate": [0.0, 1e-300, 0.003, 1.0, 1e300],
+    "train.grad_clip": [None, 0.0, 1e-300, 1.0],
+    "train.loss": ["mse", "mae"],
+    "ensemble.aggregation": ["mean", "median", "mode"],
+}
+MULTI_KEY_ENTRIES = st.lists(
+    st.sampled_from(sorted(MULTI_KEY_DOMAINS)), min_size=2, max_size=5,
+    unique=True).flatmap(lambda keys: st.tuples(*(
+        st.sampled_from(MULTI_KEY_DOMAINS[key]).map(
+            lambda value, key=key: f"{key} = {json.dumps(value)}")
+        for key in keys)))
+
+
+class TestMultiKeyFuzz:
+    """The exit-code contract over 2-5 keys set at once, for every
+    command."""
+
+    def test_every_key_has_a_domain(self):
+        assert all(MULTI_KEY_DOMAINS.values())
+        assert set(MULTI_KEY_DOMAINS) == set(cfgmod._SCHEMA)
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(entries=MULTI_KEY_ENTRIES,
+           axis=st.sampled_from(list(cli.ABLATION_AXES)))
+    def test_key_combinations_keep_exit_code_contract(self, entries, axis):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(with_entries(*entries))
+            checkpoint = ["--checkpoint",
+                          str(Path(tmp) / "train" / "checkpoint.txt")]
+            for command in (["decompose"], ["train"],
+                            ["forecast", *checkpoint],
+                            ["eval", "--baseline", *checkpoint],
+                            ["ablate", "--axis", axis]):
+                code, err = _run_quietly(
+                    [*command, "--config", str(cfg),
+                     "--out", str(Path(tmp) / command[0])])
+                assert code in (0, 2, 3), (command, err)
+                if code:
+                    assert err.endswith("\n") and err.count("\n") == 1, \
+                        (command, err)
+                    assert err.startswith(
+                        "error: " if code == 2 else "runtime error: "), \
+                        (command, err)
+
+
 class TestDecompose:
     def test_outputs_and_reconstruction(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "dec"
@@ -738,6 +815,28 @@ class TestAblate:
                          "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: val partition has 12 points, needs 20\n")
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("axis, entries, message", [
+        pytest.param("stacks", ["ablate.stacks_grid = [1]"],
+                     "wavelet infusion requires at least 2 stacks",
+                     id="one_stack_with_infusion"),
+        # receptive field 8 * (1 + 2 + 4) > lookback 16
+        pytest.param("conv", ['ablate.conv_grid = ["dcn"]',
+                              "model.kernel_sizes = [9, 9]"],
+                     "stack 1: conv variant dcn consumes the whole lookback "
+                     "window", id="dcn_too_wide"),
+    ])
+    def test_grid_of_unbuildable_models_exits_two(
+            self, axis, entries, message, jobs, tmp_path, capsys):
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text(with_entries(*entries))
+        out = tmp_path / "ab"
+        assert cli.main(["ablate", "--config", str(cfg), "--axis", axis,
+                         "--jobs", jobs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cli.ABLATION_AXES[axis]}: {message}\n")
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("axis", cli.ABLATION_AXES)

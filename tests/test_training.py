@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavestack import model as md
+from wavestack import cli, model as md
 from wavestack import training as tr
-from wavestack.autodiff import Tape
+from wavestack.config import load_run_config
+from wavestack.autodiff import InferenceTape, Tape
 from wavestack.errors import (
     ConfigMismatch,
     CorruptCheckpoint,
@@ -652,6 +655,34 @@ class TestMemory:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0], peaks
 
+    def test_cli_eval_peak_does_not_grow_with_the_set(self, tmp_path):
+        """CLI `eval --baseline` copies the targets but no inputs, so 20,001
+        test windows peak below 1.5 times what 257 do; a copy of the
+        whole [N, T] input set would add 115 MB to the 70 MB that loading
+        the checkpoint takes."""
+        text = ("model.n_stacks = 2\nmodel.blocks_per_stack = 1\n"
+                "model.lookback = 720\nmodel.horizon = 8\n"
+                "model.hidden_depth = 1\nmodel.hidden_width = 8\n"
+                'model.conv_variant = "none"\nmodel.dropout_rate = 0.0\n'
+                "split.train = 0.3\nsplit.val = 0.3\nsplit.test = 0.4\n")
+        checkpoint = tmp_path / "checkpoint.txt"
+        peaks = []
+        for length, n in ((2460, 257), (51_820, 20_001)):
+            run = load_run_config(text=text + f"synthetic.length = {length}")
+            if not checkpoint.exists():
+                tr.save_checkpoint(checkpoint, md.init_params(run.model),
+                                   run.model)
+            assert len(cli._prepare(run)[2]["test"]) == n
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.cmd_eval(run, tmp_path, str(checkpoint),
+                                 baseline=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
     def test_chained_one_step_calls_peak_rss_below_four_vectors(self):
         """Four one-step `train` calls on a 2.1M-parameter model, chained
         as in the test above, in a fresh process.  Peak RSS grows by at
@@ -811,6 +842,49 @@ class TestWindowSetForecast:
         pred = tr.forecast(windows.inputs, params, cfg)
         assert pred.shape == (len(windows), 3)
         np.testing.assert_allclose(pred, per_window, rtol=1e-12, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["haar", "db2", "sym4"]),
+           variant=st.sampled_from(md.CONV_VARIANTS),
+           n_stacks=st.sampled_from([1, 3]),
+           n=st.integers(0, 10), seed=st.integers(0, 2**16))
+    def test_bundles_partition_the_set(self, kind, variant, n_stacks, n,
+                                       seed):
+        """Chunks of 3 windows, so that sets of 0-10 cross chunk edges."""
+        cfg = tiny_cfg(n_stacks=n_stacks, blocks_per_stack=2,
+                       alpha=0.4 if n_stacks > 1 else 0.0, lookback=32,
+                       horizon=4, hidden_width=6, conv_variant=variant,
+                       kernel_sizes=None, wavelet_kind=kind, seed=seed)
+        params = md.init_params(cfg)
+        x = np.random.default_rng(seed).normal(size=(n, 32))
+        x = list(x) if n else x  # an empty list is no [0, T] set
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr, "FORECAST_CHUNK", 3)
+            bundles = list(tr.forecast_bundles(x, params, cfg))
+            pred = tr.forecast(x, params, cfg)
+        rows = [len(x[start:start + 3]) for start in range(0, max(n, 1), 3)]
+        assert len(bundles) == len(rows)
+        for bundle, m in zip(bundles, rows):
+            assert bundle.global_forecast.shape == (m, 4)
+            parts = (bundle.per_stack_forecast, bundle.per_stack_backcast,
+                     bundle.stack_inputs, bundle.infused_signals)
+            for part, width in zip(parts, (4, 32, 32, 32)):
+                assert [p.shape for p in part] == [(m, width)] * n_stacks
+            total = bundle.per_stack_forecast[0]
+            for f in bundle.per_stack_forecast[1:]:
+                total = total + f
+            np.testing.assert_array_equal(total, bundle.global_forecast)
+        assert np.concatenate([b.global_forecast for b in bundles]
+                              ).tobytes() == pred.tobytes()
+        if n:  # a one-row set, as `cli.cmd_forecast` passes
+            bundle, = tr.forecast_bundles(x[:1], params, cfg)
+            one = md.model_forward(x[0], params, cfg, InferenceTape())
+            assert bundle.global_forecast[0].tobytes() == \
+                one.global_forecast.tobytes()
+            for name in ("per_stack_forecast", "per_stack_backcast",
+                         "stack_inputs", "infused_signals"):
+                assert [p[0].tobytes() for p in getattr(bundle, name)] == \
+                    [p.tobytes() for p in getattr(one, name)], name
 
     def test_evaluate_is_mean_of_window_scores(self):
         cfg = tiny_cfg(n_stacks=3, lookback=16, horizon=3,
