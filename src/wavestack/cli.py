@@ -38,10 +38,9 @@ def _load_series(run: RunConfig) -> np.ndarray:
         seed=run["synthetic.seed"])
 
 
-def _prepare(run: RunConfig, series=None):
+def _prepare(run: RunConfig):
     """Split, optionally standardize, and window the series."""
-    if series is None:
-        series = _load_series(run)
+    series = _load_series(run)
     t, h = run.model.lookback, run.model.horizon
     dataset = dataio.split(series, run["split.train"], run["split.val"],
                            run["split.test"], min_len=t + h)
@@ -146,50 +145,42 @@ def cmd_eval(run: RunConfig, out: Path, checkpoint: str,
 
 # --- ablation driver -----------------------------------------------------
 
-def _cell_series(run: RunConfig, axis: str, value, rep: int) -> np.ndarray:
-    """The series an ablation cell reads: for the noise axis, the
-    synthetic series at the cell's noise level, seeded per repetition
-    (`data` is never read); on every other axis, the run's own."""
-    if axis == "noise":
-        return dataio.multi_frequency_benchmark(
-            length=run["synthetic.length"], noise_level=value,
-            seed=run["synthetic.seed"] + rep)
-    return _load_series(run)
-
-
-def _cell_model(run: RunConfig, axis: str, value, seed: int):
-    """The model config of an ablation cell: the run's, with `seed` and,
-    on the alpha, stacks or conv axis, the cell's value.  Raises
-    ValueError when that model cannot be built."""
-    model_cfg = replace(run.model, seed=seed)
+def _cell_run(run: RunConfig, axis: str, value, rep: int) -> RunConfig:
+    """The run of an ablation cell: the one `--seed` makes of
+    `model.seed + 101 * rep`, with `value` on its axis.  A noise cell reads
+    the synthetic series at that noise, seeded `synthetic.seed + rep`.
+    Raises ValueError when the cell's model cannot be built."""
+    cell = _apply_seed(run, run.model.seed + 101 * rep)
     if axis == "alpha":
-        return replace(model_cfg, alpha=value)
+        return replace(cell, model=replace(cell.model, alpha=value))
     if axis == "stacks":
-        return replace(model_cfg, n_stacks=value, kernel_sizes=None)
+        return replace(cell, model=replace(cell.model, n_stacks=value,
+                                           kernel_sizes=None))
     if axis == "conv":
-        return replace(model_cfg, conv_variant=value)
-    return model_cfg
+        return replace(cell, model=replace(cell.model, conv_variant=value))
+    if axis == "ensemble_size":
+        return replace(cell, ensemble=replace(cell.ensemble, size=value))
+    return replace(cell, options={
+        **cell.options, "data": None, "synthetic.noise": value,
+        "synthetic.seed": cell["synthetic.seed"] + rep})
 
 
-def _run_cell(args):
+def _run_cell(task):
     """One seeded (cell, repetition) experiment; returns test MSE/MAE."""
-    run, axis, value, rep = args
-    seed = run.model.seed + 101 * rep
-    model_cfg = _cell_model(run, axis, value, seed)
-    train_cfg = replace(run.train, seed=seed)
-    _, _, windows = _prepare(run, _cell_series(run, axis, value, rep))
+    run, axis, value, rep = task
+    cell = _cell_run(run, axis, value, rep)
+    _, _, windows = _prepare(cell)
     test = windows["test"]
     if axis == "ensemble_size":
-        ens_cfg = replace(run.ensemble, size=value, base_seed=seed)
-        members = ens.train_ensemble(model_cfg, windows["train"],
-                                     windows["val"], train_cfg, ens_cfg)
+        members = ens.train_ensemble(cell.model, windows["train"],
+                                     windows["val"], cell.train, cell.ensemble)
         forecasts = ens.aggregate(
-            [tr.forecast(test.inputs, result.params, model_cfg)
-             for _, result in members], ens_cfg.aggregation)
+            [tr.forecast(test.inputs, result.params, cell.model)
+             for _, result in members], cell.ensemble.aggregation)
     else:
-        result = tr.train(model_cfg, windows["train"], windows["val"],
-                          train_cfg)
-        forecasts = tr.forecast(test.inputs, result.params, model_cfg)
+        result = tr.train(cell.model, windows["train"], windows["val"],
+                          cell.train)
+        forecasts = tr.forecast(test.inputs, result.params, cell.model)
     return tr.mse(forecasts, test.targets), tr.mae(forecasts, test.targets)
 
 
@@ -206,17 +197,17 @@ def cmd_ablate(run: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
     grid = run[ABLATION_AXES[axis]]
     reps = run["ablate.repetitions"]
     # a grid none of whose models builds is a config fault; a seed cannot
-    # make a build fail, so repetition 0's seed checks every repetition
-    faults = []
+    # make a build fail, so repetition 0 checks every repetition
+    cells, faults = [], []
     for value in grid:
         try:
-            _cell_model(run, axis, value, run.model.seed)
+            cells.append(_cell_run(run, axis, value, 0))
         except ValueError as exc:
             faults.append(exc)
-    if len(faults) == len(grid):
+    if not cells:
         raise ConfigError(f"{ABLATION_AXES[axis]}: {faults[0]}")
     # an input fault that every cell would hit exits 2 here
-    _prepare(run, _cell_series(run, axis, grid[0], 0))
+    _prepare(cells[0])
     tasks = [(run, axis, value, rep) for value in grid
              for rep in range(reps)]
     workers = min(jobs, len(tasks))  # a pool forks every worker up front

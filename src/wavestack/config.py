@@ -183,7 +183,5 @@ def resolved_config_text(run: RunConfig) -> str:
     for section, cfg in (("model", run.model), ("train", run.train),
                          ("ensemble", run.ensemble)):
         for name, value in sorted(asdict(cfg).items()):
-            if isinstance(value, tuple):
-                value = list(value)
             lines.append(f"{section}.{name} = {json.dumps(value)}")
     return "\n".join(lines) + "\n"

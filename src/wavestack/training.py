@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("grad_clip must be positive or null")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
+        if self.decay_slope < 0.0:
+            raise ValueError("decay_slope must be >= 0")
         if self.loss != "mse":
             raise ValueError("only MSE training loss is supported")
         for name in ("adam_beta1", "adam_beta2"):

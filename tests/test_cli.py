@@ -266,6 +266,7 @@ class TestExitCodes:
         pytest.param(("train.adam_beta1 = -0.5",), id="adam_beta1_negative"),
         pytest.param(("train.adam_eps = 0.0",), id="adam_eps_0"),
         pytest.param(("train.adam_eps = -1.0",), id="adam_eps_negative"),
+        pytest.param(("train.decay_slope = -0.1",), id="decay_slope_negative"),
         pytest.param(("ablate.repetitions = 0",), id="no_repetitions"),
         pytest.param(("stride = 0",), id="stride_0"),
         pytest.param(("train.batch_size = 0",), id="batch_size_0"),
@@ -476,9 +477,9 @@ class TestExitCodes:
             "runtime error: no finite validation loss after 1 epoch(s)\n")
 
 
-# every key outside ablate.*, each set alone in TINY_CONFIG to one of these
-FUZZ_KEYS = sorted(key for key in cfgmod._SCHEMA
-                   if not key.startswith("ablate."))
+# every key, each set alone in TINY_CONFIG to one of these
+FUZZ_KEYS = sorted(cfgmod._SCHEMA)
+AXIS_OF_GRID = {key: axis for axis, key in cli.ABLATION_AXES.items()}
 EDGE_VALUES = [0, 1, -1, 64, 1e-300, 1e300, 0.999, 1.5, "", "unknown", [],
                [0], [1], [3, 2], None, True]
 
@@ -490,6 +491,14 @@ def _run_quietly(argv):
             contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, err.getvalue()
+
+
+def _assert_contract(code, err):
+    """Exit 0, 2 or 3; a failure is one stderr line, and not a bug's."""
+    assert code in (0, 2, 3), err
+    if code:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+    assert "internal error:" not in err
 
 
 class TestExitCodeFuzz:
@@ -504,21 +513,22 @@ class TestExitCodeFuzz:
             cfg.write_text(with_entries(f"{key} = {json.dumps(value)}"))
             results = {}
             for command in ("train", "decompose"):
-                code, err = results[command] = _run_quietly(
+                results[command] = _run_quietly(
                     [command, "--config", str(cfg),
                      "--out", str(Path(tmp) / command)])
-                assert code in (0, 2, 3), (command, err)
-                if code:
-                    assert err.endswith("\n") and err.count("\n") == 1, err
-                assert "internal error:" not in err
-            # a fault every ablation cell would hit ends the grid before
-            # it runs, as it ends `train`
-            if results["train"][0] == 2:
+                _assert_contract(*results[command])
+            # a grid runs on its own axis; a fault every ablation cell
+            # would hit ends the grid before it runs, as it ends `train`
+            axis = AXIS_OF_GRID.get(key, "alpha")
+            if key in AXIS_OF_GRID or results["train"][0] == 2:
                 out = Path(tmp) / "ablate"
-                assert _run_quietly(
-                    ["ablate", "--config", str(cfg), "--axis", "alpha",
-                     "--out", str(out)]) == results["train"]
-                assert not (out / "ablation_alpha.csv").exists()
+                result = _run_quietly(
+                    ["ablate", "--config", str(cfg), "--axis", axis,
+                     "--out", str(out)])
+                _assert_contract(*result)
+                if results["train"][0] == 2:
+                    assert result == results["train"]
+                    assert not (out / f"ablation_{axis}.csv").exists()
 
 
 # a domain of values for each `_SCHEMA` key, for sweeps that set several
@@ -783,6 +793,38 @@ class TestAblate:
             csvs.append((out / "ablation_stacks.csv").read_bytes())
         assert csvs[0] == csvs[1]
         assert b"\n9,0,,,,,ValueError: lookback too short" in csvs[0]
+
+    @pytest.mark.parametrize("axis", ["alpha", "noise"])
+    def test_cell_is_the_run_seed_makes(self, axis, tmp_path):
+        # repetition r of a cell trains what `train --seed model.seed +
+        # 101 r` trains; a noise cell also raises synthetic.seed by r
+        entries = ["model.seed = 5", "ablate.repetitions = 2",
+                   "ablate.alpha_grid = [0.4]", "ablate.noise_grid = [0.02]"]
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text(with_entries(*entries, "synthetic.seed = 2"))
+        assert cli.main(["ablate", "--config", str(cfg), "--axis", axis,
+                         "--out", str(tmp_path / "ab")]) == 0
+        with open(tmp_path / "ab" / f"ablation_{axis}.csv") as fh:
+            row, = csv.DictReader(fh)
+        scores = []
+        for r in range(2):
+            cfg = tmp_path / f"{r}.cfg"
+            seed = 2 + r if axis == "noise" else 2
+            cfg.write_text(with_entries(*entries, f"synthetic.seed = {seed}"))
+            out = tmp_path / f"r{r}"
+            common = ["--config", str(cfg), "--seed", str(5 + 101 * r),
+                      "--out", str(out)]
+            assert cli.main(["train", *common]) == 0
+            assert cli.main(["eval", *common, "--checkpoint",
+                             str(out / "checkpoint.txt")]) == 0
+            with open(out / "metrics.csv") as fh:
+                scores.append(next(
+                    (float(m["mse"]), float(m["mae"]))
+                    for m in csv.DictReader(fh)
+                    if (m["scale"], m["model"]) == ("standardized", "model")))
+        mse, mae = (repr(float(np.mean(s))) for s in zip(*scores))
+        assert (row["repetitions"], row["mse_mean"], row["mae_mean"]) == \
+            ("2", mse, mae)
 
     def test_failure_with_comma_keeps_seven_fields(self, tmp_path,
                                                    monkeypatch):

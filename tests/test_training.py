@@ -140,6 +140,8 @@ class TestSchedule:
             tr.TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             tr.TrainConfig(patience=0)
+        with pytest.raises(ValueError, match="decay_slope"):
+            tr.TrainConfig(decay_slope=-0.1)
 
 
 def _state(params):
