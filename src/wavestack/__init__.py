@@ -2,14 +2,7 @@
 
 from . import autodiff, config, dataio, ensemble, model, training, wavelet
 from .autodiff import Tape, Tensor
-from .dataio import (
-    Component,
-    Dataset,
-    Scaler,
-    SyntheticSpec,
-    multi_frequency_benchmark,
-    synthesize,
-)
+from .dataio import Dataset, Scaler, multi_frequency_benchmark
 from .ensemble import EnsembleConfig
 from .model import ForecastBundle, ModelConfig, model_forward
 from .training import TrainConfig, TrainResult, WindowSet, make_windows, train
@@ -25,12 +18,12 @@ from .wavelet import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Component", "Dataset", "EnsembleConfig", "FilterKind", "FilterPair",
+    "Dataset", "EnsembleConfig", "FilterKind", "FilterPair",
     "ForecastBundle", "HaarProjection", "ModelConfig", "Scaler",
-    "SyntheticSpec", "Tape", "Tensor", "TrainConfig", "TrainResult",
+    "Tape", "Tensor", "TrainConfig", "TrainResult",
     "WaveletPyramid", "WindowSet",
     "autodiff", "config", "dataio", "ensemble", "filter_bank",
     "make_windows", "mdwd", "model", "model_forward",
-    "multi_frequency_benchmark", "synthesize",
+    "multi_frequency_benchmark",
     "train", "training", "wavelet", "__version__",
 ]

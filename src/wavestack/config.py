@@ -133,11 +133,13 @@ def load_run_config(path=None, text=None) -> RunConfig:
             sections[head][rest] = value
         else:
             options[key] = value
-    try:
-        model, train, ensemble = (cls(**sections[head])
-                                  for head, cls in _SECTIONS.items())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    built = {}
+    for head, cls in _SECTIONS.items():
+        try:
+            built[head] = cls(**sections[head])
+        except ValueError as exc:
+            raise ConfigError(f"{head}: {exc}") from exc
+    model, train, ensemble = built.values()
     if options["decompose.levels"] is None:
         options["decompose.levels"] = max(1, model.n_stacks - 1)
     if options["decompose.kind"] is None:
@@ -145,7 +147,8 @@ def load_run_config(path=None, text=None) -> RunConfig:
     for key, values in options.items():
         if key.endswith("_grid") and not values:
             raise ConfigError(f"{key} must hold at least one value")
-    for key, low in (("stride", 1), ("synthetic.length", 1),
+    for key, low in (("stride", 1), ("split.train", 0), ("split.val", 0),
+                     ("split.test", 0), ("synthetic.length", 1),
                      ("synthetic.noise", 0), ("synthetic.seed", 0),
                      ("decompose.levels", 1),
                      ("ablate.repetitions", 1), ("ablate.alpha_grid", 0),

@@ -122,62 +122,18 @@ def destandardize(series, scaler: Scaler) -> np.ndarray:
     return np.asarray(series, dtype=np.float64) * scaler.std + scaler.mean
 
 
-@dataclass(frozen=True)
-class Component:
-    kind: str  # sine | trend | noise | step
-    amplitude: float = 1.0
-    period: float = 8.0  # sine period / step location, in samples
-    slope: float = 0.0  # trend slope per sample
-    level: float = 0.0  # multiplicative noise bound
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    components: list
-    length: int = 512
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
-        for c in self.components:
-            if c.kind == "sine" and c.period < 2:
-                raise ValueError("sine period must cover >= 2 samples")
-
-
-def synthesize(spec: SyntheticSpec) -> np.ndarray:
-    """Sum deterministic components, then apply multiplicative noise
-    components: x_t * (1 + eta_t), eta_t uniform in +-level."""
-    t = np.arange(spec.length, dtype=np.float64)
-    x = np.zeros(spec.length)
-    rng = np.random.default_rng(spec.seed)
-    noise_levels = []
-    for c in spec.components:
-        if c.kind == "sine":
-            x += c.amplitude * np.sin(2.0 * np.pi * t / c.period)
-        elif c.kind == "trend":
-            x += c.slope * t
-        elif c.kind == "step":
-            x += c.amplitude * (t >= c.period)
-        elif c.kind == "noise":
-            noise_levels.append(c.level)
-        else:
-            raise ValueError(f"unknown component kind: {c.kind}")
-    for level in noise_levels:
-        eta = rng.uniform(-level, level, size=spec.length)
-        x = x * (1.0 + eta)
-    return x
-
-
 def multi_frequency_benchmark(length: int = 480, noise_level: float = 0.0,
                               seed: int = 0) -> np.ndarray:
     """The synthetic benchmark used across tests and ablations: a slow
-    and a fast sinusoid plus optional multiplicative noise."""
-    spec = SyntheticSpec(
-        components=[
-            Component(kind="sine", amplitude=1.0, period=64.0),
-            Component(kind="sine", amplitude=0.5, period=8.0),
-            Component(kind="noise", level=noise_level),
-        ],
-        length=length, seed=seed)
-    return synthesize(spec)
+    sinusoid (period 64) plus a fast one (period 8, amplitude 0.5), times
+    multiplicative noise: x_t * (1 + eta_t), eta_t uniform in
+    +-noise_level and drawn even at level 0."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    t = np.arange(length, dtype=np.float64)
+    x = np.zeros(length)
+    x += 1.0 * np.sin(2.0 * np.pi * t / 64.0)
+    x += 0.5 * np.sin(2.0 * np.pi * t / 8.0)
+    eta = np.random.default_rng(seed).uniform(-noise_level, noise_level,
+                                              size=length)
+    return x * (1.0 + eta)

@@ -4,7 +4,7 @@ import pytest
 from wavestack import autodiff as ad
 from wavestack import model as md
 from wavestack.autodiff import Tape
-from wavestack.errors import InputTooShort, ShapeMismatch
+from wavestack.errors import InputTooShort, NonFiniteLoss, ShapeMismatch
 
 
 def _leaf(tape, values):
@@ -36,6 +36,16 @@ class TestAffine:
         with pytest.raises(ShapeMismatch):
             ad.affine(_leaf(tape, [1.0, 2.0, 3.0]),
                       _leaf(tape, np.eye(2)), _leaf(tape, [0.0, 0.0]), tape)
+
+    @pytest.mark.parametrize("x,w,b", [
+        ([[[1.0, 2.0]]], np.eye(2), [0.0, 0.0]),
+        ([1.0, 2.0], [1.0, 2.0], [0.0]),
+        ([1.0, 2.0], np.eye(2), [[0.0, 0.0]]),
+    ], ids=["x_rank_3", "w_rank_1", "b_rank_2"])
+    def test_rank_mismatch(self, x, w, b):
+        tape = Tape()
+        with pytest.raises(ShapeMismatch):
+            ad.affine(_leaf(tape, x), _leaf(tape, w), _leaf(tape, b), tape)
 
     def test_gradients(self):
         rng = np.random.default_rng(0)
@@ -90,6 +100,14 @@ class TestDilatedConv:
         with pytest.raises(InputTooShort):
             ad.dilated_conv1d(_leaf(tape, [1.0, 2.0]),
                               _leaf(tape, [1.0, 1.0]), 3, tape)
+
+    @pytest.mark.parametrize("kernel,dilation", [([], 1), ([1.0], 0)],
+                             ids=["kernel_0", "dilation_0"])
+    def test_kernel_or_dilation_below_one(self, kernel, dilation):
+        tape = Tape()
+        with pytest.raises(ValueError):
+            ad.dilated_conv1d(_leaf(tape, [1.0, 2.0]), _leaf(tape, kernel),
+                              dilation, tape)
 
     @pytest.mark.parametrize("lead", [(3,), (2, 2)])
     def test_batch_rows_equal_definition(self, lead):
@@ -156,6 +174,12 @@ class TestPooling:
         with pytest.raises(InputTooShort):
             ad.maxpool1d(_leaf(tape, [1.0]), 2, tape)
 
+    @pytest.mark.parametrize("pool", [ad.maxpool1d, ad.avgpool1d])
+    def test_window_below_one(self, pool):
+        tape = Tape()
+        with pytest.raises(ValueError):
+            pool(_leaf(tape, [1.0, 2.0]), 0, tape)
+
 
 def _dropout_model(rate):
     return md.ModelConfig(n_stacks=2, blocks_per_stack=2, alpha=0.4,
@@ -209,6 +233,12 @@ class TestDropout:
         assert 0.97 < y.value.mean() < 1.03
         np.testing.assert_array_equal(y.value, (draws >= 0.1) / 0.9)
 
+    @pytest.mark.parametrize("rate", [-0.1, 1.0])
+    def test_rate_outside_unit_interval(self, rate):
+        tape = Tape()
+        with pytest.raises(ValueError):
+            ad.dropout(_leaf(tape, [1.0, 2.0]), rate, np.zeros(2), tape)
+
 
 class TestXavierInit:
     def test_bound(self):
@@ -245,6 +275,19 @@ class TestTape:
         loss = ad.mse_loss(x, np.zeros(1), tape)
         tape.backward(loss)
         np.testing.assert_array_equal(unused.grad, [0.0])
+
+    def test_backward_requires_scalar_loss(self):
+        tape = Tape()
+        with pytest.raises(ShapeMismatch):
+            tape.backward(_leaf(tape, [1.0, 2.0]))
+
+    @pytest.mark.parametrize("op", [
+        ad.add, ad.sub, lambda x, y, tape: ad.mse_loss(x, y.value, tape)],
+        ids=["add", "sub", "mse_loss"])
+    def test_shape_mismatch(self, op):
+        tape = Tape()
+        with pytest.raises(ShapeMismatch):
+            op(_leaf(tape, [1.0, 2.0]), _leaf(tape, [1.0, 2.0, 3.0]), tape)
 
     def test_pad_left(self):
         tape = Tape()
@@ -399,3 +442,12 @@ class TestGradCheck:
             return ad.mse_loss(tape.tensor(np.zeros(1)), np.zeros(1), tape)
 
         assert ad.grad_check(build, params) == 0.0
+
+    def test_non_finite_loss(self):
+        params = {"theta": np.array([1.0, 2.0])}
+
+        def build(tape, leaves):
+            return ad.mse_loss(leaves["theta"], np.full(2, np.inf), tape)
+
+        with pytest.raises(NonFiniteLoss):
+            ad.grad_check(build, params)

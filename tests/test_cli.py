@@ -287,6 +287,8 @@ class TestExitCodes:
         pytest.param(("ensemble.base_seed = -1",),
                      id="ensemble_seed_negative"),
         pytest.param(("synthetic.seed = -1",), id="synthetic_seed_negative"),
+        pytest.param(("split.train = -0.5", "split.val = 0.5",
+                      "split.test = 1.0"), id="split_train_negative"),
     ])
     def test_config_fault(self, entries, tmp_path, capsys):
         cfg = tmp_path / "fault.cfg"
@@ -297,6 +299,17 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("key", ["model.seed", "train.seed",
+                                     "ensemble.base_seed"])
+    def test_section_fault_names_its_section(self, key, tmp_path, capsys):
+        cfg = tmp_path / "fault.cfg"
+        cfg.write_text(with_entries(f"{key} = -1"))
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        head, name = key.split(".")
+        assert capsys.readouterr().err == \
+            f"error: {head}: {name} must be >= 0\n"
 
     def test_negative_seed_is_a_usage_error(self, tiny_config, capsys,
                                             tmp_path):

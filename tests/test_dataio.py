@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -111,60 +113,6 @@ class TestStandardize:
             dataio.standardize(ds)
 
 
-class TestSynthesize:
-    def test_pure_sine(self):
-        spec = dataio.SyntheticSpec(
-            components=[dataio.Component(kind="sine", period=8.0)],
-            length=16)
-        x = dataio.synthesize(spec)
-        t = np.arange(16)
-        np.testing.assert_allclose(x, np.sin(2 * np.pi * t / 8), atol=1e-12)
-
-    def test_trend(self):
-        spec = dataio.SyntheticSpec(
-            components=[dataio.Component(kind="trend", slope=0.5)], length=5)
-        np.testing.assert_allclose(dataio.synthesize(spec),
-                                   [0.0, 0.5, 1.0, 1.5, 2.0])
-
-    def test_step(self):
-        spec = dataio.SyntheticSpec(
-            components=[dataio.Component(kind="step", amplitude=2.0,
-                                         period=3.0)], length=5)
-        np.testing.assert_array_equal(dataio.synthesize(spec),
-                                      [0.0, 0.0, 0.0, 2.0, 2.0])
-
-    def test_multiplicative_noise_bound(self):
-        spec = dataio.SyntheticSpec(
-            components=[dataio.Component(kind="sine", period=16.0),
-                        dataio.Component(kind="noise", level=0.1)],
-            length=256, seed=3)
-        noisy = dataio.synthesize(spec)
-        clean = dataio.synthesize(dataio.SyntheticSpec(
-            components=[dataio.Component(kind="sine", period=16.0)],
-            length=256))
-        assert np.all(np.abs(noisy - clean) <= 0.1 * np.abs(clean) + 1e-12)
-
-    def test_seeded_determinism(self):
-        spec = dataio.SyntheticSpec(
-            components=[dataio.Component(kind="noise", level=0.2),
-                        dataio.Component(kind="sine", period=8.0)],
-            length=64, seed=9)
-        np.testing.assert_array_equal(dataio.synthesize(spec),
-                                      dataio.synthesize(spec))
-
-    def test_unknown_kind(self):
-        spec = dataio.SyntheticSpec(
-            components=[dataio.Component(kind="sawtooth")], length=8)
-        with pytest.raises(ValueError):
-            dataio.synthesize(spec)
-
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            dataio.SyntheticSpec(
-                components=[dataio.Component(kind="sine", period=1.0)],
-                length=8)
-
-
 class TestBenchmark:
     def test_noiseless_is_two_sines(self):
         x = dataio.multi_frequency_benchmark(length=128)
@@ -177,3 +125,39 @@ class TestBenchmark:
         a = dataio.multi_frequency_benchmark(noise_level=0.05, seed=0)
         b = dataio.multi_frequency_benchmark(noise_level=0.05, seed=1)
         assert not np.array_equal(a, b)
+
+    def test_multiplicative_noise_bound(self):
+        noisy = dataio.multi_frequency_benchmark(length=256, noise_level=0.1,
+                                                 seed=3)
+        clean = dataio.multi_frequency_benchmark(length=256)
+        assert np.all(np.abs(noisy - clean) <= 0.1 * np.abs(clean) + 1e-12)
+
+    def test_seeded_determinism(self):
+        kwargs = dict(length=64, noise_level=0.2, seed=9)
+        np.testing.assert_array_equal(
+            dataio.multi_frequency_benchmark(**kwargs),
+            dataio.multi_frequency_benchmark(**kwargs))
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_length_below_one(self, length):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            dataio.multi_frequency_benchmark(length=length)
+
+    # SHA-256 of the little-endian float64 bytes; every test, demo and
+    # benchmark figure computed on this series depends on these bits
+    @pytest.mark.parametrize("length,noise_level,seed,digest", [
+        (480, 0.0, 0, "abfb0a203423321451b6ea4c9d640d3e"
+                      "fa678228127255eed53f31eded2deb9f"),
+        (960, 0.05, 0, "1ad7256ec5f7d5adee61bf76945324b9"
+                       "482f2d5a7e3ef47067854ddc9f1a5e6a"),
+        (960, 0.05, 3, "46d8f14882ab2a2f9dcf269c57b62569"
+                       "6c400a3eed94dea46e7a39c35d42d5fb"),
+        (257, 0.1, 7, "167a15921e9ce353d8f8b5538d6ddb95"
+                      "a4bebf7b372f119023a20f5839fd6d4a"),
+    ], ids=["480-0.0-0", "960-0.05-0", "960-0.05-3", "257-0.1-7"])
+    def test_bits_pinned(self, length, noise_level, seed, digest):
+        x = dataio.multi_frequency_benchmark(length=length,
+                                             noise_level=noise_level,
+                                             seed=seed)
+        assert hashlib.sha256(x.astype("<f8").tobytes()).hexdigest() == \
+            digest

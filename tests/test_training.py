@@ -888,6 +888,14 @@ class TestWindowSetForecast:
                 assert [p[0].tobytes() for p in getattr(bundle, name)] == \
                     [p.tobytes() for p in getattr(one, name)], name
 
+    @pytest.mark.parametrize("shape", [None, (16,), (2, 3, 16)],
+                             ids=["empty_list", "one_window", "rank_3"])
+    def test_forecast_rejects_anything_but_a_window_set(self, shape):
+        cfg = tiny_cfg(lookback=16, horizon=3)
+        inputs = [] if shape is None else np.zeros(shape)
+        with pytest.raises(ShapeMismatch):
+            tr.forecast(inputs, md.init_params(cfg), cfg)
+
     def test_evaluate_is_mean_of_window_scores(self):
         cfg = tiny_cfg(n_stacks=3, lookback=16, horizon=3,
                        wavelet_kind="db2")

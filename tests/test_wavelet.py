@@ -96,6 +96,10 @@ class TestMdwd:
         with pytest.raises(SeriesTooShort):
             wv.mdwd(np.ones(7), 3, "haar")
 
+    def test_no_levels(self):
+        with pytest.raises(ValueError):
+            wv.mdwd(np.ones(8), 0, "haar")
+
     def test_non_finite(self):
         x = np.ones(16)
         x[3] = np.nan
@@ -314,6 +318,10 @@ class TestHaarProjection:
     def test_resolution_too_fine(self):
         with pytest.raises(ResolutionTooFine):
             wv.haar_project(np.ones(8), 4)
+
+    def test_negative_resolution(self):
+        with pytest.raises(ValueError):
+            wv.haar_project(np.ones(8), -1)
 
     def test_coefficient_count_and_knots(self):
         proj = wv.haar_project(np.ones(64), 3)
