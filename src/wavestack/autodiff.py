@@ -2,12 +2,14 @@
 
 Values are double-precision numpy arrays.  Every operation works on the
 last axis, so one window [T] and a batch of windows [B, T] take the same
-path.  Every operation appends a node to a Tape; Tape.backward walks the
-nodes in reverse append order exactly once, accumulating (never
-overwriting) gradients into fan-out tensors.  A VJP whose second
-parameter is `out` can write its result into a buffer the caller of
-backward gives.  An InferenceTape keeps the values and records nothing,
-for forward passes that need no gradient.
+path.  On a recording Tape every operation appends a node, with its
+parents and their VJP closures; Tape.backward walks the nodes in reverse
+append order exactly once, accumulating (never overwriting) gradients
+into fan-out tensors.  A VJP whose second parameter is `out` can write
+its result into a buffer the caller of backward gives.  On an
+InferenceTape, for forward passes that need no gradient, every
+operation computes the same value bits and returns it as a bare Tensor
+before it builds any VJP closure or parents tuple.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ class Tensor:
 
 
 class Tape:
-    """Append-only operation record; topological order is append order."""
+    """Append-only operation record; topological order is append order.
+    `records` is fixed per tape class: an operation on a tape whose
+    `records` is false returns its value before it builds backward
+    state."""
+
+    records = True
 
     def __init__(self):
         self.nodes = []
@@ -88,9 +95,12 @@ class Tape:
 
 
 class InferenceTape(Tape):
-    """A tape that keeps each operation's value and records no node and no
-    parent: a forward pass on it holds nothing alive but the values the
-    caller keeps."""
+    """A tape that records nothing: each operation returns its value as a
+    Tensor with no parents, and builds no VJP closure, so `nodes` stays
+    empty and a forward pass on it holds nothing alive but the values
+    the caller keeps."""
+
+    records = False
 
     def tensor(self, value, parents=()):
         return Tensor(value)
@@ -107,6 +117,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape) -> Tensor:
             f"affine shapes do not conform: W{w.value.shape} x{x.value.shape} "
             f"b{b.value.shape}")
     y = x.value @ w.value.T + b.value
+    if not tape.records:
+        return Tensor(y)
     # one vector is a batch of one: g [m] and x [n] as rows [1, m], [1, n]
     return tape.tensor(y, (
         (w, lambda g, out=None, xv=x.value:
@@ -118,8 +130,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape) -> Tensor:
 
 def relu(x: Tensor, tape: Tape) -> Tensor:
     mask = x.value > 0.0  # subgradient 0 at 0
-    return tape.tensor(np.where(mask, x.value, 0.0),
-                       ((x, lambda g, m=mask: g * m),))
+    y = np.where(mask, x.value, 0.0)
+    if not tape.records:
+        return Tensor(y)
+    return tape.tensor(y, ((x, lambda g, m=mask: g * m),))
 
 
 def dropout(x: Tensor, rate: float, draws: np.ndarray, tape: Tape) -> Tensor:
@@ -131,8 +145,10 @@ def dropout(x: Tensor, rate: float, draws: np.ndarray, tape: Tape) -> Tensor:
     if rate == 0.0:
         return x
     scale_arr = (draws >= rate) / (1.0 - rate)
-    return tape.tensor(x.value * scale_arr,
-                       ((x, lambda g, s=scale_arr: g * s),))
+    y = x.value * scale_arr
+    if not tape.records:
+        return Tensor(y)
+    return tape.tensor(y, ((x, lambda g, s=scale_arr: g * s),))
 
 
 def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int,
@@ -154,6 +170,8 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int,
                                    span - j * dilation + t_out]
                            for j in range(k)]).reshape(k, -1)
     y = (kernel.value @ taps).reshape(shape[:-1] + (t_out,))
+    if not tape.records:
+        return Tensor(y)
 
     def vjp_x(g, k=k, span=span, t_out=t_out, dilation=dilation,
               kv=kernel.value):
@@ -197,6 +215,8 @@ def maxpool1d(x: Tensor, window: int, tape: Tape) -> Tensor:
     blocks = _pool_blocks(x, window)
     arg = blocks.argmax(axis=-1)[..., None]  # first index on ties
     y = np.take_along_axis(blocks, arg, axis=-1)[..., 0]
+    if not tape.records:
+        return Tensor(y)
 
     def vjp(g, arg=arg, shape=x.value.shape, blocks_shape=blocks.shape):
         gb = np.zeros(blocks_shape)
@@ -210,6 +230,8 @@ def avgpool1d(x: Tensor, window: int, tape: Tape) -> Tensor:
     """Non-overlapping mean pooling over the last axis, stride = window."""
     blocks = _pool_blocks(x, window)
     y = blocks.mean(axis=-1)
+    if not tape.records:
+        return Tensor(y)
 
     def vjp(g, shape=x.value.shape, blocks_shape=blocks.shape):
         return _unpool(np.broadcast_to((g / window)[..., None],
@@ -221,15 +243,19 @@ def avgpool1d(x: Tensor, window: int, tape: Tape) -> Tensor:
 def add(x: Tensor, y: Tensor, tape: Tape) -> Tensor:
     if x.value.shape != y.value.shape:
         raise ShapeMismatch(f"add: {x.value.shape} vs {y.value.shape}")
-    return tape.tensor(x.value + y.value,
-                       ((x, lambda g: g), (y, lambda g: g)))
+    total = x.value + y.value
+    if not tape.records:
+        return Tensor(total)
+    return tape.tensor(total, ((x, lambda g: g), (y, lambda g: g)))
 
 
 def sub(x: Tensor, y: Tensor, tape: Tape) -> Tensor:
     if x.value.shape != y.value.shape:
         raise ShapeMismatch(f"sub: {x.value.shape} vs {y.value.shape}")
-    return tape.tensor(x.value - y.value,
-                       ((x, lambda g: g), (y, lambda g: -g)))
+    difference = x.value - y.value
+    if not tape.records:
+        return Tensor(difference)
+    return tape.tensor(difference, ((x, lambda g: g), (y, lambda g: -g)))
 
 
 def blend(const_branch: np.ndarray, x: Tensor, alpha: float,
@@ -241,6 +267,8 @@ def blend(const_branch: np.ndarray, x: Tensor, alpha: float,
     if alpha == 1.0:
         return tape.tensor(np.array(const_branch, dtype=np.float64))
     y = alpha * np.asarray(const_branch) + (1.0 - alpha) * x.value
+    if not tape.records:
+        return Tensor(y)
     return tape.tensor(y, ((x, lambda g: (1.0 - alpha) * g),))
 
 
@@ -250,6 +278,8 @@ def pad_left(x: Tensor, n: int, tape: Tape) -> Tensor:
         return x
     y = np.concatenate([np.zeros(x.value.shape[:-1] + (n,)), x.value],
                        axis=-1)
+    if not tape.records:
+        return Tensor(y)
     return tape.tensor(y, ((x, lambda g: g[..., n:]),))
 
 
@@ -260,9 +290,11 @@ def mse_loss(pred: Tensor, target: np.ndarray, tape: Tape) -> Tensor:
     if pred.value.shape != target.shape:
         raise ShapeMismatch(f"mse: {pred.value.shape} vs {target.shape}")
     diff = pred.value - target
+    loss = np.mean(diff ** 2)
+    if not tape.records:
+        return Tensor(loss)
     n = diff.size
-    return tape.tensor(np.mean(diff ** 2),
-                       ((pred, lambda g, d=diff, n=n: g * 2.0 * d / n),))
+    return tape.tensor(loss, ((pred, lambda g, d=diff, n=n: g * 2.0 * d / n),))
 
 
 def xavier_init(shape, rng: np.random.Generator) -> np.ndarray:

@@ -277,8 +277,8 @@ def forecast_bundles(inputs, params: dict, model_cfg):
         chunk = np.asarray(inputs[start:start + FORECAST_CHUNK],
                            dtype=np.float64)
         if chunk.ndim != 2:
-            raise ShapeMismatch(f"expected a window set [N, T], got "
-                                f"windows of shape {chunk.shape[1:]}")
+            raise ShapeMismatch(f"expected a window set [N, T], got a set "
+                                f"of shape {(len(inputs),) + chunk.shape[1:]}")
         yield md.model_forward(chunk, params, model_cfg, InferenceTape())
 
 

@@ -1,5 +1,8 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavestack import autodiff as ad
 from wavestack import model as md
@@ -423,6 +426,115 @@ class TestInferenceTape:
                               _leaf(tape, [0.5, 0.5]), tape), tape)
         np.testing.assert_array_equal(y.value, [[1.5, 0.0], [3.5, 4.5]])
         assert tape.nodes == [] and y.parents == ()
+
+
+class _NoBackwardStateTape(ad.InferenceTape):
+    """An InferenceTape that fails when an operation hands it parents,
+    that is, when it built backward state the tape would drop."""
+
+    def tensor(self, value, parents=()):
+        assert parents == (), "an op built VJP closures on an InferenceTape"
+        return super().tensor(value)
+
+
+# Every op of `autodiff` with a `tape` parameter, called on an input x
+# [T] or [B, T]: its other operands come from `rng`, its settings from
+# `p` (see _OP_SETTINGS).
+_PARITY_OPS = {
+    "affine": lambda x, p, rng, tape: ad.affine(
+        x, _leaf(tape, rng.normal(size=(p["m"], x.value.shape[-1]))),
+        _leaf(tape, rng.normal(size=p["m"])), tape),
+    "relu": lambda x, p, rng, tape: ad.relu(x, tape),
+    "dropout": lambda x, p, rng, tape: ad.dropout(
+        x, p["rate"], rng.random(x.value.shape), tape),
+    "dilated_conv1d": lambda x, p, rng, tape: ad.dilated_conv1d(
+        x, _leaf(tape, rng.normal(size=p["k"])), p["dilation"], tape),
+    "maxpool1d": lambda x, p, rng, tape: ad.maxpool1d(x, p["window"], tape),
+    "avgpool1d": lambda x, p, rng, tape: ad.avgpool1d(x, p["window"], tape),
+    "add": lambda x, p, rng, tape: ad.add(
+        x, _leaf(tape, rng.normal(size=x.value.shape)), tape),
+    "sub": lambda x, p, rng, tape: ad.sub(
+        _leaf(tape, rng.normal(size=x.value.shape)), x, tape),
+    "blend": lambda x, p, rng, tape: ad.blend(
+        rng.normal(size=x.value.shape), x, p["alpha"], tape),
+    "pad_left": lambda x, p, rng, tape: ad.pad_left(x, p["n"], tape),
+    "mse_loss": lambda x, p, rng, tape: ad.mse_loss(
+        x, rng.normal(size=x.value.shape), tape),
+}
+
+_OP_SETTINGS = st.fixed_dictionaries({
+    "m": st.integers(1, 4),
+    "rate": st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.99),
+    "k": st.integers(1, 3),
+    "dilation": st.integers(1, 3),
+    "window": st.integers(1, 4),
+    "alpha": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    "n": st.integers(0, 3),
+})
+
+
+@st.composite
+def _op_inputs(draw):
+    """[T] or [B, T] normal draws, which round in every sum, with a few
+    NaN and signed zeros put in.  T >= 7 holds the widest receptive
+    field, (3 - 1) * 3 + 1."""
+    shape = draw(st.sampled_from([(), (1,), (3,)])) + (draw(
+        st.integers(7, 12)),)
+    x = np.random.default_rng(draw(st.integers(0, 2**16))).normal(
+        scale=10.0, size=shape)
+    for _ in range(draw(st.integers(0, 3))):
+        x.reshape(-1)[draw(st.integers(0, x.size - 1))] = draw(
+            st.sampled_from([np.nan, -0.0, 0.0]))
+    return x
+
+
+def _check_op_parity(name, x, p, seed):
+    """The op gives the same value bits on an InferenceTape as on a Tape;
+    on the InferenceTape it builds no backward state and leaves no node,
+    and on the Tape it records parents unless it returns its input or,
+    blend at alpha 1, a constant."""
+    op = _PARITY_OPS[name]
+    tape = Tape()
+    x_rec = _leaf(tape, x)
+    recorded = op(x_rec, p, np.random.default_rng(seed), tape)
+    inference = _NoBackwardStateTape()
+    x_inf = _leaf(inference, x)
+    inferred = op(x_inf, p, np.random.default_rng(seed), inference)
+    assert _same_bits(inferred.value, recorded.value)
+    assert inference.nodes == [] and inferred.parents == ()
+    if recorded is x_rec:
+        assert inferred is x_inf
+    elif not (name == "blend" and p["alpha"] == 1.0):
+        assert recorded.parents != ()
+        assert recorded in tape.nodes
+
+
+class TestOpParity:
+    """An InferenceTape forward against a recording one, op by op."""
+
+    @pytest.mark.parametrize("name", sorted(_PARITY_OPS))
+    @settings(max_examples=40, deadline=None)
+    @given(x=_op_inputs(), p=_OP_SETTINGS, seed=st.integers(0, 2**16))
+    def test_same_value_bits(self, name, x, p, seed):
+        _check_op_parity(name, x, p, seed)
+
+    @pytest.mark.parametrize("name,setting", [
+        ("blend", {"alpha": 0.0}), ("blend", {"alpha": 1.0}),
+        ("blend", {"alpha": 0.4}), ("pad_left", {"n": 0}),
+        ("dropout", {"rate": 0.0}), ("relu", {})])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["T", "BT"])
+    def test_edge_settings(self, name, setting, lead):
+        # NaN and both zeros in the input: np.maximum would differ on them
+        x = np.resize([np.nan, -0.0, 0.0, -1.5, 2.0], lead + (8,))
+        _check_op_parity(name, x, setting, seed=0)
+
+    def test_table_covers_every_op_with_a_tape(self):
+        ops = {name for name, fn in inspect.getmembers(ad,
+                                                       inspect.isfunction)
+               if fn.__module__ == ad.__name__ and not name.startswith("_")
+               and "tape" in inspect.signature(fn).parameters}
+        assert "affine" in ops
+        assert ops == set(_PARITY_OPS)
 
 
 class TestGradCheck:

@@ -888,12 +888,50 @@ class TestWindowSetForecast:
                 assert [p[0].tobytes() for p in getattr(bundle, name)] == \
                     [p.tobytes() for p in getattr(one, name)], name
 
-    @pytest.mark.parametrize("shape", [None, (16,), (2, 3, 16)],
-                             ids=["empty_list", "one_window", "rank_3"])
-    def test_forecast_rejects_anything_but_a_window_set(self, shape):
+    @pytest.mark.parametrize("variant", md.CONV_VARIANTS)
+    @pytest.mark.parametrize("kind", ["haar", "db2", "sym4"])
+    @settings(max_examples=8, deadline=None)
+    @given(n_stacks=st.integers(1, 3),
+           alpha=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           n=st.integers(1, 7), seed=st.integers(0, 2**16))
+    def test_bundles_match_a_recording_forward(self, kind, variant,
+                                               n_stacks, alpha, n, seed):
+        """Every part of every bundle, against `model_forward` on a
+        recording Tape over the same chunk: the same bits."""
+        cfg = tiny_cfg(n_stacks=n_stacks, blocks_per_stack=2,
+                       alpha=alpha if n_stacks > 1 else 0.0, lookback=32,
+                       horizon=4, hidden_depth=2, hidden_width=6,
+                       conv_variant=variant, kernel_sizes=None,
+                       wavelet_kind=kind, seed=seed)
+        params = md.init_params(cfg)
+        x = np.random.default_rng(seed).normal(size=(n, 32))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr, "FORECAST_CHUNK", 3)
+            bundles = list(tr.forecast_bundles(x, params, cfg))
+        assert len(bundles) == -(-n // 3)
+        for start, bundle in zip(range(0, n, 3), bundles):
+            tape = Tape()
+            recorded = md.model_forward(x[start:start + 3], params, cfg,
+                                        tape)
+            assert tape.nodes and recorded.forecast_node.parents
+            assert bundle.forecast_node.parents == ()
+            assert bundle.global_forecast.tobytes() == \
+                recorded.global_forecast.tobytes()
+            for name in ("per_stack_forecast", "per_stack_backcast",
+                         "stack_inputs", "infused_signals"):
+                mine, theirs = getattr(bundle, name), getattr(recorded, name)
+                assert len(mine) == len(theirs) == n_stacks, name
+                for a, b in zip(mine, theirs):
+                    assert a.shape == b.shape and \
+                        a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("shape,named", [
+        (None, r"\(0,\)"), ((16,), r"\(16,\)"), ((2, 3, 16), r"\(2, 3, 16\)")],
+        ids=["empty_list", "one_window", "rank_3"])
+    def test_forecast_rejects_anything_but_a_window_set(self, shape, named):
         cfg = tiny_cfg(lookback=16, horizon=3)
         inputs = [] if shape is None else np.zeros(shape)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match=f"got a set of shape {named}$"):
             tr.forecast(inputs, md.init_params(cfg), cfg)
 
     def test_evaluate_is_mean_of_window_scores(self):
