@@ -1,6 +1,8 @@
 """Minimal dense-tensor numerics with reverse-mode differentiation.
 
-Values are double-precision numpy arrays.  Every operation works on the
+Values are double-precision numpy arrays: a Tensor keeps a native
+float64 ndarray as given and converts anything else with np.asarray,
+which would return that same array.  Every operation works on the
 last axis, so one window [T] and a batch of windows [B, T] take the same
 path.  On a recording Tape every operation appends a node, with its
 parents and their VJP closures; Tape.backward walks the nodes in reverse
@@ -19,9 +21,15 @@ import numpy as np
 from .errors import InputTooShort, NonFiniteLoss, ShapeMismatch
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 class Tensor:
     """A node in the computation graph.
 
+    `value` is `np.asarray(value, dtype=np.float64)`: a plain ndarray of
+    the native float64 dtype is kept as given, without the call, since
+    that call would return the same object; anything else is converted.
     `parents` is a tuple of (parent, vjp) pairs where vjp maps this
     node's output gradient to the parent's gradient contribution.
     """
@@ -29,7 +37,9 @@ class Tensor:
     __slots__ = ("value", "grad", "parents")
 
     def __init__(self, value, parents=()):
-        self.value = np.asarray(value, dtype=np.float64)
+        if value.__class__ is not np.ndarray or value.dtype is not _FLOAT64:
+            value = np.asarray(value, dtype=np.float64)
+        self.value = value
         self.grad = None
         self.parents = parents
 
@@ -124,7 +134,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape) -> Tensor:
         (w, lambda g, out=None, xv=x.value:
             np.matmul(g.reshape(-1, m).T, xv.reshape(-1, n), out=out)),
         (x, lambda g, wv=w.value: g @ wv),
-        (b, lambda g, out=None: g.reshape(-1, m).sum(axis=0, out=out)),
+        (b, lambda g, out=None:
+            np.add.reduce(g.reshape(-1, m), axis=0, out=out)),
     ))
 
 
@@ -173,13 +184,22 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int,
     if not tape.records:
         return Tensor(y)
 
-    def vjp_x(g, k=k, span=span, t_out=t_out, dilation=dilation,
+    def vjp_x(g, k=k, t=t, span=span, t_out=t_out, dilation=dilation,
               kv=kernel.value):
-        gx = np.zeros(shape)
+        # g's rows padded with zeros to length t and laid end to end: tap
+        # j adds the flat run g_flat[:n] at offset span - j*dilation, one
+        # contiguous add.  Where the run crosses a row end it adds
+        # kv[j] * 0.0, and a sum that starts at +0.0 is unchanged by +-0.0
+        # (a non-finite kv[j] puts NaN there instead).
+        rows = np.zeros((g.size // t_out, t))
+        rows[:, :t_out] = g.reshape(-1, t_out)
+        g_flat = rows.reshape(-1)
+        n = g_flat.size - span
+        gx = np.zeros(g_flat.size)
         for j in range(k):
             start = span - j * dilation
-            gx[..., start:start + t_out] += kv[j] * g
-        return gx
+            gx[start:start + n] += kv[j] * g_flat[:n]
+        return gx.reshape(shape)
 
     return tape.tensor(y, (
         (kernel, lambda g, out=None, tp=taps:

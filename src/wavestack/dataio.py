@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (
     EmptySeries,
+    InvalidInput,
     MalformedCsv,
     MissingColumn,
     NonNumericCell,
@@ -112,6 +113,10 @@ def standardize(dataset: Dataset) -> tuple:
     train = dataset.train
     mean = float(np.mean(train))
     std = float(np.std(train))
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise InvalidInput(
+            "train partition's mean or standard deviation is not finite: "
+            "its values overflow float64 arithmetic")
     if std <= 0.0:
         raise ZeroVariance("train partition has zero variance")
     scaler = Scaler(mean=mean, std=std)

@@ -229,7 +229,12 @@ def stack_forward(i: int, x_conv: Tensor, cfg: ModelConfig, leaves: dict,
 
 
 def make_leaves(params: dict, tape: Tape) -> dict:
-    return {name: tape.tensor(value) for name, value in params.items()}
+    """One leaf Tensor per parameter, keyed and, on a recording tape,
+    appended in `params` order."""
+    leaves = dict(zip(params, map(Tensor, params.values())))
+    if tape.records:
+        tape.nodes.extend(leaves.values())
+    return leaves
 
 
 def _forward(x, cfg: ModelConfig, leaves: dict, tape: Tape,

@@ -458,6 +458,8 @@ def _read_checkpoint(path, fh):
             raise corrupt(f"line {no}: expected 'tensor NAME SHAPE' "
                           f"followed by a value line")
         _, name, shape_s = fields
+        if name in params:
+            raise corrupt(f"line {no}: tensor {name} is listed twice")
         try:
             shape = tuple(int(s) for s in shape_s.split(",") if s)
             tokens = value_line.split()

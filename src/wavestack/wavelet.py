@@ -91,10 +91,13 @@ class WaveletPyramid:
 def _analysis_step(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
     """One decimated periodic filtering pass over the last axis, of even
     length T: y[..., m] = sum_j filt[j] * x[..., (2m+j) mod T], summed
-    tap by tap."""
+    tap by tap.  Taps 0 and 1 never read past index T-1, so a two-tap
+    filter reads x itself; a longer one reads x extended by its wrap."""
     t = x.shape[-1]
     k = len(filt)
-    if k - 1 <= t:
+    if k <= 2:
+        ext = x
+    elif k - 1 <= t:
         ext = np.concatenate([x, x[..., :k - 1]], axis=-1)
     else:  # the filter wraps the signal more than once
         ext = x[..., np.arange(t + k - 1) % t]
@@ -110,11 +113,15 @@ def _synthesis_step(coeffs: np.ndarray, filt: np.ndarray) -> np.ndarray:
     exactly for orthonormal pairs.  n coefficients give 2n samples, and
     x[..., (2m+j) mod 2n] += filt[j] * coeffs[..., m] for every tap j.
     Seen as n pairs, tap j adds to parity j % 2 of pair (m + j//2) mod n:
-    one slice add, and a second for the part that wraps round."""
+    one slice add, and a second for the part that wraps round.  Taps 0
+    and 1 shift by nothing, so they fill the pairs with one outer
+    product; adding +0.0 to it gives the bits of adding it to zeros
+    (-0.0 becomes +0.0)."""
     n = coeffs.shape[-1]
-    x = np.zeros(coeffs.shape + (2,))
-    for j, f in enumerate(filt):
-        term = coeffs * f
+    x = np.multiply.outer(coeffs, filt[:2])
+    x += 0.0
+    for j in range(2, len(filt)):
+        term = coeffs * filt[j]
         s = (j // 2) % n
         x[..., s:, j % 2] += term[..., :n - s]
         if s:

@@ -132,6 +132,52 @@ class TestDilatedConv:
         assert ad.grad_check(build, params) < 1e-5
 
 
+def _strided_vjp_x(g, kernel, dilation, shape):
+    """The conv input gradient as one strided slice add per tap over the
+    input's shape: the reference for the flat-buffer VJP."""
+    span = (len(kernel) - 1) * dilation
+    t_out = shape[-1] - span
+    gx = np.zeros(shape)
+    for j in range(len(kernel)):
+        start = span - j * dilation
+        gx[..., start:start + t_out] += kernel[j] * g
+    return gx
+
+
+def _with_zeros(rng, values, share):
+    """`values` with about `share` of its elements set to +0.0 or -0.0."""
+    draw = rng.random(values.shape)
+    values[draw < share / 2] = -0.0
+    values[(share / 2 <= draw) & (draw < share)] = 0.0
+    return values
+
+
+class TestConvInputGradientBits:
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 9), dilation=st.integers(1, 4),
+           extra=st.integers(0, 6),
+           lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+           zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_strided_adds(self, k, dilation, extra, lead,
+                                           zero_share, seed):
+        rng = np.random.default_rng(seed)
+        span = (k - 1) * dilation
+        shape = lead + (span + 1 + extra,)
+        kernel = _with_zeros(rng, rng.normal(size=k), zero_share / 3)
+        g = _with_zeros(rng, rng.normal(size=lead + (1 + extra,)),
+                        zero_share)
+        tape = Tape()
+        x = _leaf(tape, rng.normal(size=shape))
+        y = ad.dilated_conv1d(x, _leaf(tape, kernel), dilation, tape)
+        (vjp_x,) = [vjp for parent, vjp in y.parents if parent is x]
+        got = vjp_x(g)
+        want = _strided_vjp_x(g, kernel, dilation, shape)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestPooling:
     def test_window_one_identity(self):
         tape = Tape()
@@ -416,6 +462,35 @@ class TestBackwardInto:
             return ad.mse_loss(t, np.ones(3), tape), {"x": x, "u": u}
 
         self._check(build, ["x"])
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+class TestTensorValue:
+    @pytest.mark.parametrize("make", [
+        lambda: np.linspace(-1.0, 1.0, 6),
+        lambda: np.linspace(-1.0, 1.0, 12).reshape(3, 4)[:, ::2],
+        lambda: [1.0, -0.0, 3],
+        lambda: np.arange(5),
+        lambda: np.linspace(-1.0, 1.0, 5, dtype=np.float32),
+        lambda: np.linspace(-1.0, 1.0, 5).astype(">f8"),
+        lambda: np.linspace(-1.0, 1.0, 5).view(_Sub),
+        lambda: np.array(-0.0),
+        lambda: np.float64(2.5),
+    ], ids=["float64", "float64_strided", "list", "int", "float32",
+            "big_endian", "subclass", "zero_d", "scalar"])
+    def test_matches_asarray(self, make):
+        # the value is what np.asarray(v, dtype=np.float64) gives: the
+        # same object exactly when that call returns its argument
+        v = make()
+        got = ad.Tensor(v).value
+        want = np.asarray(v, dtype=np.float64)
+        assert (got is v) == (want is v)
+        assert type(got) is type(want) is np.ndarray
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestInferenceTape:

@@ -3,6 +3,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -322,7 +323,8 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("fault", ["data_dir", "checkpoint_dir",
-                                       "constant_series", "huge_field"])
+                                       "constant_series", "huge_field",
+                                       "overflowing_scale"])
     def test_input_fault(self, fault, tiny_config, tmp_path, capsys):
         cfg, argv = tiny_config, ["train"]
         if fault == "checkpoint_dir":
@@ -336,6 +338,11 @@ class TestExitCodes:
             elif fault == "huge_field":  # over the csv module's field limit
                 data = tmp_path / "huge.csv"
                 data.write_text("t,value\n0," + "1" * 200_000 + "\n")
+            elif fault == "overflowing_scale":  # finite, but its sums are not
+                data = tmp_path / "huge_values.csv"
+                data.write_text("t,value\n" + "".join(
+                    f"{t},{(-1) ** t * 1e308 + math.sin(t)!r}\n"
+                    for t in range(400)))
             cfg = tmp_path / "data.cfg"
             cfg.write_text(with_entries(f"data = {json.dumps(str(data))}"))
         assert cli.main(argv + ["--config", str(cfg),
@@ -344,6 +351,8 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         if fault == "huge_field":
             assert str(data) in err
+        if fault == "overflowing_scale":
+            assert "train partition" in err
 
     @pytest.mark.parametrize("char", ["\n", "\r"])
     def test_line_break_in_message_is_escaped(self, char, tmp_path, capsys):
@@ -688,7 +697,8 @@ class TestTrainForecastEval:
                          "--checkpoint", str(out / "checkpoint.txt")]) == 0
 
     @pytest.mark.parametrize("damage", ["header_only", "tensor_removed",
-                                        "cut_mid_line", "header_key_only"])
+                                        "tensor_repeated", "cut_mid_line",
+                                        "header_key_only"])
     def test_corrupt_checkpoint(self, damage, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(tiny_config),
@@ -701,6 +711,8 @@ class TestTrainForecastEval:
             at = lines.index(next(line for line in lines if
                                   line.startswith("tensor s1.b1.proj_f.b ")))
             del lines[at:at + 2]
+        elif damage == "tensor_repeated":  # names and shapes still match
+            lines += ["tensor s1.b1.proj_f.b 4", "9.0 9.0 9.0 9.0"]
         elif damage == "cut_mid_line":
             lines[-1] = lines[-1][:len(lines[-1]) // 2]
         else:
@@ -713,6 +725,9 @@ class TestTrainForecastEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(ckpt) in err
+        if damage == "tensor_repeated":
+            assert err.endswith(f": line {len(lines) - 1}: tensor "
+                                f"s1.b1.proj_f.b is listed twice\n"), err
 
     def test_tensor_header_not_starting_with_tensor(self, tiny_config,
                                                     tmp_path, capsys):

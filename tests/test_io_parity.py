@@ -67,6 +67,9 @@ def ref_load_checkpoint(path, model_cfg=None):
                 f"{path}: line {i + 1}: expected 'tensor NAME SHAPE' "
                 f"followed by a value line")
         _, name, shape_s = fields
+        if name in params:
+            raise CorruptCheckpoint(
+                f"{path}: line {i + 1}: tensor {name} is listed twice")
         try:
             shape = tuple(int(s) for s in shape_s.split(",") if s)
             values = np.array([float(v) for v in lines[i + 1].split()])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavestack import model as md
-from wavestack.autodiff import Tape
+from wavestack.autodiff import InferenceTape, Tape
 from wavestack.errors import NonFiniteInput, ShapeMismatch
 from wavestack.wavelet import mdwd
 
@@ -209,6 +209,24 @@ class TestStackForward:
         b2, f2 = block(x - b1, 2)
         np.testing.assert_allclose(sb.value, b1 + b2, atol=1e-12)
         np.testing.assert_allclose(sf.value, f1 + f2, atol=1e-12)
+
+
+class TestMakeLeaves:
+    def test_tape_nodes_in_params_order(self):
+        params = md.init_params(small_cfg())
+        tape = Tape()
+        leaves = md.make_leaves(params, tape)
+        assert list(leaves) == list(params)
+        assert tape.nodes == list(leaves.values())
+        assert all(leaves[name].value is value
+                   for name, value in params.items())
+
+    def test_inference_tape_records_nothing(self):
+        params = md.init_params(small_cfg())
+        tape = InferenceTape()
+        leaves = md.make_leaves(params, tape)
+        assert list(leaves) == list(params) and tape.nodes == []
+        assert all(leaf.parents == () for leaf in leaves.values())
 
 
 class TestModelForward:

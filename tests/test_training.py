@@ -1057,6 +1057,19 @@ class TestCheckpoint:
                            match=r": line 3: expected 'tensor NAME SHAPE'"):
             tr.load_checkpoint(path)
 
+    def test_repeated_tensor(self, tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "ckpt.txt"
+        tr.save_checkpoint(path, md.init_params(cfg), cfg)
+        lines = path.read_text().splitlines()
+        at = lines.index(next(line for line in lines
+                              if line.startswith("tensor s1.b1.proj_f.b ")))
+        path.write_text("\n".join(lines + lines[at:at + 2]) + "\n")
+        with pytest.raises(CorruptCheckpoint,
+                           match=rf": line {len(lines) + 1}: tensor "
+                                 rf"s1\.b1\.proj_f\.b is listed twice$"):
+            tr.load_checkpoint(path, cfg)
+
     def test_config_hash_stable_and_sensitive(self):
         assert tr.config_hash(tiny_cfg()) == tr.config_hash(tiny_cfg())
         assert tr.config_hash(tiny_cfg()) != \

@@ -243,12 +243,18 @@ class TestSliceStepsMatchIndexReference:
     @given(kind=st.sampled_from(KINDS),
            length=st.sampled_from(list(range(2, 81)) + [127, 720, 721, 1043]),
            lead=st.sampled_from([(), (3,), (2, 2)]),
-           log_scale=st.floats(-5, 5), seed=st.integers(0, 2 ** 32 - 1),
-           data=st.data())
-    def test_bit_identical(self, kind, length, lead, log_scale, seed, data):
+           log_scale=st.floats(-5, 5),
+           zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_bit_identical(self, kind, length, lead, log_scale, zero_share,
+                           seed, data):
         levels = data.draw(st.integers(1, min(6, length.bit_length() - 1)))
-        x = 10.0 ** log_scale * np.random.default_rng(seed).normal(
-            size=lead + (length,))
+        rng = np.random.default_rng(seed)
+        x = 10.0 ** log_scale * rng.normal(size=lead + (length,))
+        # about zero_share of the samples exactly +0.0 or -0.0
+        draw = rng.random(x.shape)
+        x[draw < zero_share / 2] = -0.0
+        x[(zero_share / 2 <= draw) & (draw < zero_share)] = 0.0
         pyramid = wv.mdwd(x, levels, kind)
         want = _index_mdwd(x, levels, kind)
         got = (pyramid.approx, pyramid.detail, pyramid.raw_low,
