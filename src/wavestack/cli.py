@@ -121,18 +121,17 @@ def cmd_eval(run: RunConfig, out: Path, checkpoint: str,
     _, scaler, windows = _prepare(run)
     params, _ = tr.load_checkpoint(checkpoint, run.model)
     test = windows["test"]
-    targets = np.array(test.targets)
     forecasts = {"model": tr.forecast(test.inputs, params, run.model)}
     if baseline:
-        last = np.array([x[-1:] for x in test.inputs])
-        forecasts["persistence"] = np.repeat(last, run.model.horizon, axis=1)
+        forecasts["persistence"] = np.repeat(test.inputs[:, -1:],
+                                             run.model.horizon, axis=1)
     rows = []
     for label, pred in forecasts.items():
-        rows.append(("standardized", label, tr.mse(pred, targets),
-                     tr.mae(pred, targets)))
+        rows.append(("standardized", label, tr.mse(pred, test.targets),
+                     tr.mae(pred, test.targets)))
         if scaler is not None:
             raw_pred = dataio.destandardize(pred, scaler)
-            raw_targets = dataio.destandardize(targets, scaler)
+            raw_targets = dataio.destandardize(test.targets, scaler)
             rows.append(("original", label, tr.mse(raw_pred, raw_targets),
                          tr.mae(raw_pred, raw_targets)))
     with open(out / "metrics.csv", "w") as fh:

@@ -109,7 +109,8 @@ def split(series, train_frac: float = 0.70, val_frac: float = 0.10,
 
 def standardize(dataset: Dataset) -> tuple:
     """Scale the whole series by the train-range mean/std; returns
-    (scaled Dataset, Scaler)."""
+    (scaled Dataset, Scaler).  A scaled value that is not finite raises
+    InvalidInput naming its partition and 1-based data row."""
     train = dataset.train
     mean = float(np.mean(train))
     std = float(np.std(train))
@@ -119,8 +120,17 @@ def standardize(dataset: Dataset) -> tuple:
             "its values overflow float64 arithmetic")
     if std <= 0.0:
         raise ZeroVariance("train partition has zero variance")
-    scaler = Scaler(mean=mean, std=std)
-    return replace(dataset, raw=(dataset.raw - mean) / std), scaler
+    with np.errstate(over="ignore"):
+        raw = (dataset.raw - mean) / std
+    finite = np.isfinite(raw)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        name = next(name for name, (_, stop) in (
+            ("train", dataset.train_range), ("val", dataset.val_range),
+            ("test", dataset.test_range)) if row < stop)
+        raise InvalidInput(f"{name} partition row {row + 1} is not finite "
+                           f"once standardized")
+    return replace(dataset, raw=raw), Scaler(mean=mean, std=std)
 
 
 def destandardize(series, scaler: Scaler) -> np.ndarray:

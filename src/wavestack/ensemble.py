@@ -38,10 +38,8 @@ def bootstrap_windows(windows: tr.WindowSet,
     """Sample the window set with replacement, preserving set size."""
     n = len(windows)
     idx = rng.integers(0, n, size=n)
-    return tr.WindowSet(
-        inputs=[windows.inputs[i] for i in idx],
-        targets=[windows.targets[i] for i in idx],
-        offsets=[windows.offsets[i] for i in idx])
+    return tr.WindowSet(windows.inputs[idx], windows.targets[idx],
+                        windows.offsets[idx])
 
 
 def train_ensemble(model_cfg: md.ModelConfig, train_windows: tr.WindowSet,

@@ -113,9 +113,11 @@ class TrainState:
 
 @dataclass(frozen=True)
 class WindowSet:
-    inputs: list  # each length T
-    targets: list  # each length H
-    offsets: list
+    """`inputs` [N, T] and `targets` [N, H] of one series (read-only views
+    from `make_windows`); row i starts at `offsets[i]`."""
+    inputs: np.ndarray
+    targets: np.ndarray
+    offsets: np.ndarray
 
     def __len__(self):
         return len(self.inputs)
@@ -123,17 +125,17 @@ class WindowSet:
 
 def make_windows(series, lookback: int, horizon: int,
                  stride: int = 1) -> WindowSet:
-    """Slide contiguous (input, target) pairs over the series; each input
-    ends exactly where its target begins."""
+    """Slide contiguous (input, target) pairs, `stride` apart, over the
+    series, as views of it; each input ends where its target begins."""
     series = np.asarray(series, dtype=np.float64)
     n = len(series)
     if n < lookback + horizon:
         raise SeriesTooShort(
             f"series of length {n} cannot yield a {lookback}+{horizon} window")
-    offsets = list(range(0, n - lookback - horizon + 1, stride))
-    inputs = [series[o:o + lookback] for o in offsets]
-    targets = [series[o + lookback:o + lookback + horizon] for o in offsets]
-    return WindowSet(inputs=inputs, targets=targets, offsets=offsets)
+    pairs = np.lib.stride_tricks.sliding_window_view(
+        series, lookback + horizon)[::stride]
+    return WindowSet(inputs=pairs[:, :lookback], targets=pairs[:, lookback:],
+                     offsets=np.arange(n - lookback - horizon + 1)[::stride])
 
 
 def _score(name, pointwise, pred, target) -> float:
@@ -251,8 +253,8 @@ def _batch_grads(batch_idx, windows, params, model_cfg, rng, out) -> float:
     """Mean loss over one batch of windows, from one forward and one
     backward pass over the whole batch; the mean gradients are written
     into `out`, a dict of buffers shaped as `params`."""
-    inputs = np.stack([windows.inputs[j] for j in batch_idx])
-    targets = np.stack([windows.targets[j] for j in batch_idx])
+    inputs = windows.inputs[batch_idx]
+    targets = windows.targets[batch_idx]
     tape = Tape()
     loss, leaves = md.forward_loss(inputs, targets, params, model_cfg,
                                    tape, rng)
@@ -268,11 +270,11 @@ def _batch_grads(batch_idx, windows, params, model_cfg, rng, out) -> float:
 def forecast_bundles(inputs, params: dict, model_cfg):
     """Inference-mode forward passes over a window set [N, T], on a tape
     that records nothing: one ForecastBundle per FORECAST_CHUNK windows,
-    whose parts hold the chunk's rows.  Each chunk is converted to an
-    array on its own, so no copy of the whole set is made; a consumer
-    that reduces each bundle as it comes holds one chunk's parts at a
-    time.  It calls `md.model_forward` by its module attribute so that
-    wrappers installed there see every call."""
+    whose parts hold the chunk's rows.  Each chunk is converted on its
+    own, and a chunk of an array set is a view, so no copy of the set is
+    made; a consumer that reduces each bundle as it comes holds one
+    chunk's parts at a time.  It calls `md.model_forward` by its module
+    attribute so that wrappers installed there see every call."""
     for start in range(0, max(len(inputs), 1), FORECAST_CHUNK):
         chunk = np.asarray(inputs[start:start + FORECAST_CHUNK],
                            dtype=np.float64)
@@ -403,8 +405,10 @@ def save_checkpoint(path, params: dict, model_cfg: md.ModelConfig,
 
 def load_checkpoint(path, model_cfg: Optional[md.ModelConfig] = None):
     """Returns (params, header dict); raises CorruptCheckpoint on a
-    malformed file.  Given a model config, verifies the config hash and
-    that the tensor names and shapes are the ones the model needs.
+    malformed file or one whose format_version is not
+    CHECKPOINT_FORMAT_VERSION.  Given a model config, verifies the config
+    hash and that the tensor names and shapes are the ones the model
+    needs.
 
     The file is read one line at a time.  A file that does not decode
     raises the UnicodeDecodeError that reading it whole reports, wherever
@@ -416,6 +420,10 @@ def load_checkpoint(path, model_cfg: Optional[md.ModelConfig] = None):
         with open(path) as fh:
             fh.read()  # the error, at the offset a whole-file read gives
         raise
+    version = header.get("format_version")
+    if version != str(CHECKPOINT_FORMAT_VERSION):
+        raise CorruptCheckpoint(f"{path}: format_version {version!r} is not "
+                                f"{CHECKPOINT_FORMAT_VERSION}")
     if model_cfg is not None:
         if header.get("config_hash") != config_hash(model_cfg):
             raise ConfigMismatch(

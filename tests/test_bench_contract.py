@@ -3,7 +3,9 @@ edits forecast bundles; a refactor that renames what it relies on must
 fail here, not only when the benchmark runs."""
 
 import dataclasses
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,28 @@ def test_tracer_counts_cli_config_load(tmp_path):
         assert cli.main(["decompose", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 0
     assert tracer.calls["config.load_run_config"] == 1
+
+
+def test_workloads_take_window_sets(tmp_path, monkeypatch):
+    # bench/workload.py builds window sets with make_windows, slices them
+    # into positional WindowSets, counts, evaluates and forecasts them;
+    # it imports its sibling modules by bare name
+    monkeypatch.syspath_prepend(str(BENCH))
+    added = {"workload", "reference", "tracing"} - set(sys.modules)
+    try:
+        workload = importlib.import_module("workload")
+        for name in workload.WORKLOADS:
+            w = workload.setup(name, 0, tmp_path / name)
+            part = workload._slice(w.train_windows, 0, 1)
+            assert len(part) == 1 < len(w.train_windows)
+            metrics = tr.evaluate(w.eval_sets[0], w.params, w.model)
+            assert np.isfinite([metrics["mse"], metrics["mae"]]).all()
+            bundle = md.model_forward(w.forecast_inputs[0], w.params,
+                                      w.model, Tape())
+            assert bundle.global_forecast.shape == (w.model.horizon,)
+    finally:
+        for module in added:
+            sys.modules.pop(module, None)
 
 
 def test_forward_calls_by_position():

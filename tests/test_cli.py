@@ -324,7 +324,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fault", ["data_dir", "checkpoint_dir",
                                        "constant_series", "huge_field",
-                                       "overflowing_scale"])
+                                       "overflowing_scale",
+                                       "overflowing_standardized"])
     def test_input_fault(self, fault, tiny_config, tmp_path, capsys):
         cfg, argv = tiny_config, ["train"]
         if fault == "checkpoint_dir":
@@ -343,6 +344,11 @@ class TestExitCodes:
                 data.write_text("t,value\n" + "".join(
                     f"{t},{(-1) ** t * 1e308 + math.sin(t)!r}\n"
                     for t in range(400)))
+            elif fault == "overflowing_standardized":  # test partition
+                data = tmp_path / "spike.csv"
+                data.write_text("t,value\n" + "".join(
+                    f"{t},{1.7e308 if t == 390 else math.sin(t / 3)!r}\n"
+                    for t in range(400)))
             cfg = tmp_path / "data.cfg"
             cfg.write_text(with_entries(f"data = {json.dumps(str(data))}"))
         assert cli.main(argv + ["--config", str(cfg),
@@ -353,6 +359,9 @@ class TestExitCodes:
             assert str(data) in err
         if fault == "overflowing_scale":
             assert "train partition" in err
+        if fault == "overflowing_standardized":
+            assert err == ("error: test partition row 391 is not finite "
+                           "once standardized\n")
 
     @pytest.mark.parametrize("char", ["\n", "\r"])
     def test_line_break_in_message_is_escaped(self, char, tmp_path, capsys):
@@ -673,6 +682,41 @@ class TestTrainForecastEval:
         labels = {line.split(",")[1] for line in lines[1:]}
         assert labels == {"model", "persistence"}
 
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_persistence_baseline_repeats_last_input(self, standardize,
+                                                     tmp_path):
+        # `eval --baseline` scores each test window's last input value,
+        # repeated over the horizon, on the scaled and the original series
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(with_entries(f"standardize = {json.dumps(standardize)}"))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        assert cli.main(["eval", "--config", str(cfg), "--out", str(out),
+                         "--checkpoint", str(out / "checkpoint.txt"),
+                         "--baseline"]) == 0
+        rows = [line.split(",") for line in
+                (out / "metrics.csv").read_text().splitlines()[1:]]
+        got = {row[0]: row[2:] for row in rows if row[1] == "persistence"}
+
+        series = dataio.multi_frequency_benchmark(length=480,
+                                                  noise_level=0.02, seed=0)
+        mean, std = float(np.mean(series[:336])), float(np.std(series[:336]))
+        test = (series - mean) / std if standardize else series
+        test = test[384:]  # after 70% train and 10% val of 480 points
+        starts = range(0, len(test) - 20 + 1, 4)  # lookback 16, horizon 4
+        x = np.array([test[o:o + 16] for o in starts])
+        y = np.array([test[o + 16:o + 20] for o in starts])
+        pred = np.repeat(x[:, -1:], 4, axis=1)
+        scales = {"standardized": (pred, y)}
+        if standardize:
+            scales["original"] = (pred * std + mean, y * std + mean)
+        expected = {
+            scale: [repr(float(np.mean(np.mean((p - t) ** 2, axis=-1)))),
+                    repr(float(np.mean(np.mean(np.abs(p - t), axis=-1))))]
+            for scale, (p, t) in scales.items()}
+        assert got == expected
+
     def test_checkpoint_config_mismatch(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(tiny_config),
@@ -698,7 +742,7 @@ class TestTrainForecastEval:
 
     @pytest.mark.parametrize("damage", ["header_only", "tensor_removed",
                                         "tensor_repeated", "cut_mid_line",
-                                        "header_key_only"])
+                                        "header_key_only", "format_version"])
     def test_corrupt_checkpoint(self, damage, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(tiny_config),
@@ -715,6 +759,8 @@ class TestTrainForecastEval:
             lines += ["tensor s1.b1.proj_f.b 4", "9.0 9.0 9.0 9.0"]
         elif damage == "cut_mid_line":
             lines[-1] = lines[-1][:len(lines[-1]) // 2]
+        elif damage == "format_version":
+            lines[0] = "format_version 2"
         else:
             lines[1] = "config_hash"
         ckpt.write_text("\n".join(lines) + "\n")
@@ -728,6 +774,8 @@ class TestTrainForecastEval:
         if damage == "tensor_repeated":
             assert err.endswith(f": line {len(lines) - 1}: tensor "
                                 f"s1.b1.proj_f.b is listed twice\n"), err
+        if damage == "format_version":
+            assert err.endswith(": format_version '2' is not 1\n"), err
 
     def test_tensor_header_not_starting_with_tensor(self, tiny_config,
                                                     tmp_path, capsys):
@@ -922,6 +970,21 @@ class TestAblate:
             assert capsys.readouterr().err == (
                 f"error: {key} must hold at least one value\n")
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_std_over_repetitions_is_ddof_zero(self, tmp_path,
+                                               monkeypatch):
+        # mse_std and mae_std are the population std (np.std, ddof 0) of
+        # a cell's repetitions
+        scores = {0: (1.0, 2.0), 1: (3.0, 6.0)}
+        monkeypatch.setattr(cli, "_run_cell", lambda task: scores[task[3]])
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text(with_entries("ablate.alpha_grid = [0.4]",
+                                    "ablate.repetitions = 2"))
+        out = tmp_path / "ab"
+        assert cli.main(["ablate", "--config", str(cfg), "--axis", "alpha",
+                         "--out", str(out)]) == 0
+        lines = (out / "ablation_alpha.csv").read_text().splitlines()
+        assert lines[1] == "0.4,2,2.0,1.0,4.0,2.0,"
 
     def test_unknown_axis_rejected(self, tiny_config, capsys):
         with pytest.raises(SystemExit):

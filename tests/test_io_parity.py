@@ -82,6 +82,9 @@ def ref_load_checkpoint(path, model_cfg=None):
                 f"{shape}")
         params[name] = values.reshape(shape)
         i += 2
+    if header.get("format_version") != "1":
+        raise CorruptCheckpoint(f"{path}: format_version "
+                                f"{header.get('format_version')!r} is not 1")
     if model_cfg is not None:
         if header.get("config_hash") != tr.config_hash(model_cfg):
             raise ConfigMismatch(

@@ -49,7 +49,7 @@ def tiny_cfg(**overrides):
 class TestMakeWindows:
     def test_stride_two_offsets_and_targets(self):
         w = tr.make_windows(np.arange(10.0), 3, 2, stride=2)
-        assert w.offsets == [0, 2, 4]
+        np.testing.assert_array_equal(w.offsets, [0, 2, 4])
         np.testing.assert_array_equal(w.targets[0], [3.0, 4.0])
         np.testing.assert_array_equal(w.targets[1], [5.0, 6.0])
         np.testing.assert_array_equal(w.targets[2], [7.0, 8.0])
@@ -122,6 +122,13 @@ class TestSchedule:
                              warmup_fraction=0.1, decay_slope=1e-3)
         assert tr.lr_at(10, cfg) == pytest.approx(1e-3)
         assert tr.lr_at(110, cfg) == pytest.approx(1e-3 * 0.9)
+
+    def test_warmup_length_rounds(self):
+        # warmup spans round(warmup_fraction * epochs) epochs: 1.5 -> 2
+        cfg = tr.TrainConfig(learning_rate=1.0, epochs=10,
+                             warmup_fraction=0.15, decay_slope=0.0)
+        assert [tr.lr_at(e, cfg) for e in range(3)] == \
+            pytest.approx([1 / 3, 2 / 3, 1.0])
 
     def test_never_negative(self):
         cfg = tr.TrainConfig(learning_rate=1.0, epochs=10,
@@ -475,6 +482,29 @@ class TestTrainLoop:
         result = tr.train(cfg, windows, windows, tcfg)
         assert result.stopped_early
         assert len(result.history) < 200
+
+    def test_validation_tie_keeps_earlier_epoch(self, monkeypatch):
+        # the best epoch is the first with the lowest validation loss
+        losses = iter([1.0, 0.5, 0.5, 0.7])
+        monkeypatch.setattr(tr, "evaluate",
+                            lambda *args: {"mse": next(losses)})
+        windows = _toy_windows()
+        result = tr.train(tiny_cfg(), windows, windows,
+                          tr.TrainConfig(epochs=4, batch_size=16))
+        assert (result.best_epoch, result.best_val) == (1, 0.5)
+
+    def test_early_stop_after_patience_checks(self, monkeypatch):
+        # training stops at the `patience`-th check in a row without
+        # improvement
+        losses = iter([1.0, 0.5, 0.6, 0.7, 0.4, 0.3])
+        monkeypatch.setattr(tr, "evaluate",
+                            lambda *args: {"mse": next(losses)})
+        windows = _toy_windows()
+        result = tr.train(tiny_cfg(), windows, windows,
+                          tr.TrainConfig(epochs=6, patience=2, batch_size=16))
+        assert result.stopped_early
+        assert [row[3] for row in result.history] == [1.0, 0.5, 0.6, 0.7]
+        assert result.best_epoch == 1
 
     def test_history_schedule_column(self):
         windows = _toy_windows()
@@ -1012,8 +1042,8 @@ class TestBatchGrads:
         batch = data.draw(st.permutations(range(n)))[
             :data.draw(st.integers(1, n))]
         bad = data.draw(st.sets(st.sampled_from(batch), min_size=1))
-        targets = [np.full(2, np.nan) if j in bad else y
-                   for j, y in enumerate(windows.targets)]
+        targets = windows.targets.copy()
+        targets[sorted(bad)] = np.nan
         poisoned = tr.WindowSet(windows.inputs, targets, windows.offsets)
         first = next(j for j in batch if j in bad)
         with pytest.raises(NonFiniteLoss,
@@ -1069,6 +1099,19 @@ class TestCheckpoint:
                            match=rf": line {len(lines) + 1}: tensor "
                                  rf"s1\.b1\.proj_f\.b is listed twice$"):
             tr.load_checkpoint(path, cfg)
+
+    @pytest.mark.parametrize("first, shown", [
+        ("format_version 2", "'2'"), ("format_version banana", "'banana'"),
+        (None, "None")], ids=["two", "banana", "absent"])
+    def test_format_version_must_be_one(self, first, shown, tmp_path):
+        lines = (ROOT / "tests" / "data" / "v1" /
+                 "checkpoint.txt").read_text().splitlines()
+        lines[:1] = [] if first is None else [first]
+        path = tmp_path / "ckpt.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptCheckpoint,
+                           match=rf": format_version {shown} is not 1$"):
+            tr.load_checkpoint(path)
 
     def test_config_hash_stable_and_sensitive(self):
         assert tr.config_hash(tiny_cfg()) == tr.config_hash(tiny_cfg())
