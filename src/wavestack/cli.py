@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,7 +38,9 @@ def _load_series(run: RunConfig) -> np.ndarray:
 
 
 def _prepare(run: RunConfig):
-    """Split, optionally standardize, and window the series."""
+    """Split, optionally standardize, and window the series.  A value the
+    model reads that is not finite, or whose square overflows, is an
+    InvalidInput."""
     series = _load_series(run)
     t, h = run.model.lookback, run.model.horizon
     dataset = dataio.split(series, run["split.train"], run["split.val"],
@@ -47,6 +48,8 @@ def _prepare(run: RunConfig):
     scaler = None
     if run["standardize"]:
         dataset, scaler = dataio.standardize(dataset)
+    else:
+        dataio.check_magnitudes(dataset)
     stride = run["stride"]
     windows = {
         name: tr.make_windows(part, t, h, stride)
@@ -211,6 +214,8 @@ def cmd_ablate(run: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
              for rep in range(reps)]
     workers = min(jobs, len(tasks))  # a pool forks every worker up front
     if workers > 1:
+        # imported here: the pool loads ~30 modules no other path runs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_try_cell, tasks))
     else:

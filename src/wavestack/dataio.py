@@ -107,10 +107,31 @@ def split(series, train_frac: float = 0.70, val_frac: float = 0.10,
                    test_range=ranges[2])
 
 
+# the largest magnitude whose square is finite in float64
+_MAX_SQUARABLE = math.sqrt(np.finfo(np.float64).max)
+
+
+def check_magnitudes(dataset: Dataset, context: str = "") -> None:
+    """Raise InvalidInput naming the partition and 1-based data row of the
+    first value that is not finite or whose square overflows float64;
+    `context` ends the message."""
+    raw = dataset.raw
+    bad = ~(np.abs(raw) <= _MAX_SQUARABLE)  # NaN compares False
+    if bad.any():
+        row = int(np.argmax(bad))
+        name = next(name for name, (_, stop) in (
+            ("train", dataset.train_range), ("val", dataset.val_range),
+            ("test", dataset.test_range)) if row < stop)
+        what = ("is not finite" if not math.isfinite(raw[row])
+                else "overflows when squared")
+        raise InvalidInput(f"{name} partition row {row + 1} {what}{context}")
+
+
 def standardize(dataset: Dataset) -> tuple:
     """Scale the whole series by the train-range mean/std; returns
-    (scaled Dataset, Scaler).  A scaled value that is not finite raises
-    InvalidInput naming its partition and 1-based data row."""
+    (scaled Dataset, Scaler).  A scaled value that is not finite, or
+    whose square overflows, raises InvalidInput naming its partition and
+    1-based data row."""
     train = dataset.train
     mean = float(np.mean(train))
     std = float(np.std(train))
@@ -118,19 +139,17 @@ def standardize(dataset: Dataset) -> tuple:
         raise InvalidInput(
             "train partition's mean or standard deviation is not finite: "
             "its values overflow float64 arithmetic")
+    if std == 0.0 and np.min(train) != np.max(train):
+        # the squares inside np.std underflow: measure on a copy scaled
+        # to a largest magnitude of 1
+        peak = float(np.max(np.abs(train)))
+        std = float(np.std(train / peak)) * peak
     if std <= 0.0:
         raise ZeroVariance("train partition has zero variance")
     with np.errstate(over="ignore"):
-        raw = (dataset.raw - mean) / std
-    finite = np.isfinite(raw)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        name = next(name for name, (_, stop) in (
-            ("train", dataset.train_range), ("val", dataset.val_range),
-            ("test", dataset.test_range)) if row < stop)
-        raise InvalidInput(f"{name} partition row {row + 1} is not finite "
-                           f"once standardized")
-    return replace(dataset, raw=raw), Scaler(mean=mean, std=std)
+        scaled = replace(dataset, raw=(dataset.raw - mean) / std)
+    check_magnitudes(scaled, " once standardized")
+    return scaled, Scaler(mean=mean, std=std)
 
 
 def destandardize(series, scaler: Scaler) -> np.ndarray:

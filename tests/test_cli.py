@@ -44,6 +44,13 @@ synthetic.noise = 0.02
 """
 
 
+def subprocess_env(**extra):
+    """os.environ with the source tree first on PYTHONPATH, and `extra`."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                               if p]))
+
+
 def with_entries(*entries):
     """TINY_CONFIG with each `key = value` entry set, replacing its line."""
     keys = {entry.split("=")[0].strip() for entry in entries}
@@ -322,12 +329,26 @@ class TestExitCodes:
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # a 400-row sin(t / 3) series with one value replaced: (row index,
+    # value, extra config entries, the one stderr line)
+    SPIKES = {
+        "overflowing_standardized": (
+            390, 1.7e308, (),
+            "error: test partition row 391 is not finite once standardized\n"),
+        "square_overflows_standardized": (
+            300, 1e300, (),
+            "error: val partition row 301 overflows when squared once "
+            "standardized\n"),
+        "square_overflows_unscaled": (
+            390, 1e300, ("standardize = false",),
+            "error: test partition row 391 overflows when squared\n"),
+    }
+
     @pytest.mark.parametrize("fault", ["data_dir", "checkpoint_dir",
                                        "constant_series", "huge_field",
-                                       "overflowing_scale",
-                                       "overflowing_standardized"])
+                                       "overflowing_scale", *SPIKES])
     def test_input_fault(self, fault, tiny_config, tmp_path, capsys):
-        cfg, argv = tiny_config, ["train"]
+        cfg, argv, entries = tiny_config, ["train"], ()
         if fault == "checkpoint_dir":
             argv = ["forecast", "--checkpoint", str(tmp_path)]
         else:
@@ -344,13 +365,15 @@ class TestExitCodes:
                 data.write_text("t,value\n" + "".join(
                     f"{t},{(-1) ** t * 1e308 + math.sin(t)!r}\n"
                     for t in range(400)))
-            elif fault == "overflowing_standardized":  # test partition
+            elif fault in self.SPIKES:
+                row, value, entries, _ = self.SPIKES[fault]
                 data = tmp_path / "spike.csv"
                 data.write_text("t,value\n" + "".join(
-                    f"{t},{1.7e308 if t == 390 else math.sin(t / 3)!r}\n"
+                    f"{t},{value if t == row else math.sin(t / 3)!r}\n"
                     for t in range(400)))
             cfg = tmp_path / "data.cfg"
-            cfg.write_text(with_entries(f"data = {json.dumps(str(data))}"))
+            cfg.write_text(with_entries(f"data = {json.dumps(str(data))}",
+                                        *entries))
         assert cli.main(argv + ["--config", str(cfg),
                                 "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -359,9 +382,14 @@ class TestExitCodes:
             assert str(data) in err
         if fault == "overflowing_scale":
             assert "train partition" in err
-        if fault == "overflowing_standardized":
-            assert err == ("error: test partition row 391 is not finite "
-                           "once standardized\n")
+        if fault in self.SPIKES:
+            assert err == self.SPIKES[fault][3]
+            # every cell would read the value: ablate exits 2 before any runs
+            out = tmp_path / "ab"
+            assert cli.main(["ablate", "--config", str(cfg), "--axis",
+                             "alpha", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == err
+            assert not list(out.iterdir())
 
     @pytest.mark.parametrize("char", ["\n", "\r"])
     def test_line_break_in_message_is_escaped(self, char, tmp_path, capsys):
@@ -496,12 +524,9 @@ class TestExitCodes:
             "model.hidden_depth = 2", "train.learning_rate = 1e200",
             "train.epochs = 1", "train.batch_size = 128",
             "train.grad_clip = null", "synthetic.length = 200"))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
-                                   if p]))
         done = subprocess.run(
             [sys.executable, "-m", "wavestack.cli", "train", "--config",
-             str(cfg), "--out", str(tmp_path / "o")], env=env,
+             str(cfg), "--out", str(tmp_path / "o")], env=subprocess_env(),
             capture_output=True, text=True, timeout=300)
         assert done.returncode == 3
         assert done.stderr == (
@@ -798,7 +823,62 @@ class TestTrainForecastEval:
             (b / "checkpoint.txt").read_bytes()
 
 
+# the benchmark config (lookback 64, horizon 16, 3 stacks, dcn), as the
+# benchmark's CLI round trip runs it
+BENCH_CONFIG = """
+model.n_stacks = 3
+model.blocks_per_stack = 2
+model.alpha = 0.4
+model.lookback = 64
+model.horizon = 16
+model.hidden_depth = 2
+model.hidden_width = 8
+model.conv_variant = "dcn"
+model.kernel_sizes = [5, 3, 3]
+train.learning_rate = 0.003
+train.epochs = 1
+train.batch_size = 32
+train.patience = 2
+split.train = 0.5
+split.val = 0.25
+split.test = 0.25
+stride = 8
+"""
+
+
 class TestDeterminism:
+    def test_benchmark_config_files_identical_at_one_and_two_blas_threads(
+            self, tmp_path):
+        # the thread count is read when numpy loads, so each run is a
+        # process of its own
+        data = tmp_path / "series.csv"
+        dataio.save_csv(data, dataio.multi_frequency_benchmark(
+            length=960, noise_level=0.05, seed=2))
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(BENCH_CONFIG + f"data = {json.dumps(str(data))}\n")
+        files = []
+        for threads in ("1", "2"):
+            base = tmp_path / f"threads{threads}"
+            checkpoint = str(base / "train" / "checkpoint.txt")
+            for name, argv in (
+                    ("train", ["train"]),
+                    ("forecast", ["forecast", "--checkpoint", checkpoint]),
+                    ("eval", ["eval", "--checkpoint", checkpoint,
+                              "--baseline"])):
+                done = subprocess.run(
+                    [sys.executable, "-m", "wavestack.cli", *argv,
+                     "--config", str(cfg), "--seed", "1",
+                     "--out", str(base / name)],
+                    env=subprocess_env(OPENBLAS_NUM_THREADS=threads),
+                    capture_output=True, text=True, timeout=300)
+                assert done.returncode == 0, done.stderr
+            files.append({str(p.relative_to(base)): p.read_bytes()
+                          for p in sorted(base.rglob("*")) if p.is_file()})
+        assert len(files[0]) == 16
+        assert files[0].keys() == files[1].keys()
+        assert [name for name in files[0]
+                if files[0][name] != files[1][name]] == []
+
     def test_byte_identical_reruns(self, tiny_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -840,6 +920,18 @@ class TestDeterminism:
         rows = [text.splitlines() for text in csvs[1:]]
         assert len(rows[0]) == len(rows[1]) == 2
         assert rows[0][0] == rows[1][0] and rows[0][1] != rows[1][1]
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only `ablate --jobs N` with more than one worker needs the pool
+    pool_modules = ("multiprocessing", "concurrent.futures.process",
+                    "socket", "subprocess")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, wavestack.cli; print(sorted("
+         f"m for m in {pool_modules!r} if m in sys.modules))"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 class TestAblate:
@@ -1008,7 +1100,9 @@ class TestAblate:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # cmd_ablate imports the pool class when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            RecordingPool)
         csvs = []
         for grid, jobs in (("[0.0, 0.4]", "64"), ("[0.0, 0.4]", "1"),
                            ("[0.4]", "64")):

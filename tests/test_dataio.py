@@ -112,6 +112,17 @@ class TestStandardize:
         with pytest.raises(ZeroVariance):
             dataio.standardize(ds)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310])
+    def test_tiny_values_that_vary_are_scaled(self, scale):
+        # the squares inside np.std underflow to zero at these magnitudes
+        sine = np.sin(np.arange(400) / 3)
+        assert np.std(sine * scale) == 0.0
+        scaled, scaler = dataio.standardize(dataio.split(sine * scale))
+        reference, ref_scaler = dataio.standardize(dataio.split(sine))
+        assert scaler.std == pytest.approx(ref_scaler.std * scale, rel=1e-9)
+        np.testing.assert_allclose(scaled.raw, reference.raw, rtol=1e-9,
+                                   atol=1e-9)
+
 
 class TestBenchmark:
     def test_noiseless_is_two_sines(self):
