@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -472,12 +473,13 @@ def _read_checkpoint(path, fh):
             shape = tuple(int(s) for s in shape_s.split(",") if s)
             tokens = value_line.split()
             values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+            if min(shape, default=0) < 0:
+                raise ValueError(f"negative dimension in shape {shape}")
+            if values.size != math.prod(shape):
+                raise ValueError(f"{values.size} values for shape {shape}")
+            params[name] = values.reshape(shape)
         except ValueError as exc:
             raise corrupt(f"tensor {name}: {exc}") from None
-        if values.size != int(np.prod(shape)):
-            raise corrupt(f"tensor {name}: {values.size} values for shape "
-                          f"{shape}")
-        params[name] = values.reshape(shape)
         no, line = next(lines, (None, None))
     return params, header
 

@@ -129,39 +129,15 @@ def _synthesis_step(coeffs: np.ndarray, filt: np.ndarray) -> np.ndarray:
     return x.reshape(coeffs.shape[:-1] + (2 * n,))
 
 
-def _decompose_coeffs(x, n_levels, pair):
-    """Iterate the analysis step on the low branch, padding odd lengths."""
-    raw_low, raw_high, input_lengths = [], [], []
-    cur = x
-    for _ in range(n_levels):
-        input_lengths.append(cur.shape[-1])
-        if cur.shape[-1] % 2 == 1:
-            cur = np.concatenate([cur, cur[..., :1]], axis=-1)
-        raw_low.append(_analysis_step(cur, pair.low))
-        raw_high.append(_analysis_step(cur, pair.high))
-        cur = raw_low[-1]
-    return raw_low, raw_high, input_lengths
-
-
-def _reconstruct_from_level(cur, level, filt, pair, input_lengths):
-    """Invert one branch's coefficients `cur` at `level` down to level 0,
-    with `filt` (that branch's filter) at the first step and the low-pass
-    filter after it.  The complementary branch is zero at every step, so
-    each step applies only one filter."""
-    for lvl in range(level, 0, -1):
-        n_in = input_lengths[lvl - 1]
-        cur = _synthesis_step(cur, filt)[..., :n_in]
-        filt = pair.low
-    return cur
-
-
 def mdwd(x, n_levels: int,
          kind: FilterKind | str = FilterKind.HAAR) -> WaveletPyramid:
     """Multilevel decimated decomposition with every branch reconstructed
     back to the original length.  `x` is one series [T] or a batch
     [..., T], decomposed along its last axis; each row of a batch gives
-    the same result as a call on that row alone.  Only the coarsest
-    approximation and the details are synthesised; each finer
+    the same result as a call on that row alone.  One analysis loop
+    iterates the filters on the low branch, padding odd lengths; one
+    synthesis loop walks the levels back, coarsest first.  Only the
+    coarsest approximation and the details are synthesised; each finer
     approximation is the next coarser one plus that level's detail."""
     x = np.asarray(x, dtype=np.float64)
     if n_levels < 1:
@@ -173,14 +149,26 @@ def mdwd(x, n_levels: int,
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("series contains NaN or Inf")
     pair = filter_bank(kind)
-    raw_low, raw_high, input_lengths = _decompose_coeffs(x, n_levels, pair)
-    detail = [
-        _reconstruct_from_level(raw_high[lvl - 1], lvl, pair.high, pair,
-                                input_lengths)
-        for lvl in range(1, n_levels + 1)
-    ]
-    approx = [_reconstruct_from_level(raw_low[-1], n_levels, pair.low, pair,
-                                      input_lengths)]
+    raw_low, raw_high, input_lengths = [], [], []
+    cur = x
+    for _ in range(n_levels):
+        input_lengths.append(cur.shape[-1])
+        if cur.shape[-1] % 2 == 1:
+            cur = np.concatenate([cur, cur[..., :1]], axis=-1)
+        raw_low.append(_analysis_step(cur, pair.low))
+        raw_high.append(_analysis_step(cur, pair.high))
+        cur = raw_low[-1]
+    # branches[0] is the coarsest approximation and branches[i] the detail
+    # of level n_levels + 1 - i.  The complementary filter's coefficients
+    # are zero at every step, so each branch takes one filter per step:
+    # the low-pass one, after its own filter where it joins.
+    branches = [cur]
+    for lvl in range(n_levels, 0, -1):
+        n_in = input_lengths[lvl - 1]
+        branches = [_synthesis_step(b, pair.low) for b in branches]
+        branches.append(_synthesis_step(raw_high[lvl - 1], pair.high))
+        branches = [b[..., :n_in] for b in branches]
+    approx, detail = branches[:1], branches[:0:-1]
     for lvl in range(n_levels - 1, 0, -1):
         approx.insert(0, approx[0] + detail[lvl])
     return WaveletPyramid(approx=approx, detail=detail, raw_low=raw_low,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavestack import cli, config as cfgmod, dataio, errors
-from wavestack import ensemble as ens, training as tr
+from wavestack import ensemble as ens, model as md, training as tr
 from wavestack.errors import ConfigError
 from wavestack.model import CONV_VARIANTS
 
@@ -630,6 +630,25 @@ MULTI_KEY_ENTRIES = st.lists(
         for key in keys)))
 
 
+def _assert_every_command_keeps_contract(cfg, tmp, axis):
+    """Run `decompose`, `train`, `forecast` and `eval --baseline` on the
+    trained checkpoint, and `ablate` on `axis`, under `tmp`: each exits 0,
+    2 or 3, and a failure is one stderr line with its code's prefix."""
+    checkpoint = ["--checkpoint", str(tmp / "train" / "checkpoint.txt")]
+    for command in (["decompose"], ["train"], ["forecast", *checkpoint],
+                    ["eval", "--baseline", *checkpoint],
+                    ["ablate", "--axis", axis]):
+        code, err = _run_quietly([*command, "--config", str(cfg),
+                                  "--out", str(tmp / command[0])])
+        assert code in (0, 2, 3), (command, err)
+        if code:
+            assert err.endswith("\n") and err.count("\n") == 1, \
+                (command, err)
+            assert err.startswith(
+                "error: " if code == 2 else "runtime error: "), \
+                (command, err)
+
+
 class TestMultiKeyFuzz:
     """The exit-code contract over 2-5 keys set at once, for every
     command."""
@@ -646,22 +665,49 @@ class TestMultiKeyFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "run.cfg"
             cfg.write_text(with_entries(*entries))
-            checkpoint = ["--checkpoint",
-                          str(Path(tmp) / "train" / "checkpoint.txt")]
-            for command in (["decompose"], ["train"],
-                            ["forecast", *checkpoint],
-                            ["eval", "--baseline", *checkpoint],
-                            ["ablate", "--axis", axis]):
-                code, err = _run_quietly(
-                    [*command, "--config", str(cfg),
-                     "--out", str(Path(tmp) / command[0])])
-                assert code in (0, 2, 3), (command, err)
-                if code:
-                    assert err.endswith("\n") and err.count("\n") == 1, \
-                        (command, err)
-                    assert err.startswith(
-                        "error: " if code == 2 else "runtime error: "), \
-                        (command, err)
+            _assert_every_command_keeps_contract(cfg, Path(tmp), axis)
+
+
+# the rows of each partition of a 400-row series at the default split
+PARTITION_ROWS = {"train": (0, 280), "val": (280, 320), "test": (320, 400)}
+# magnitudes from the subnormal 1e-310 to 1e308, on both sides of the
+# bound a square overflows at (about 1.34e154)
+MAGNITUDES = st.sampled_from([1e-310, 1e-300, 1e-200, 1e-154, 1e-20, 1.0,
+                              1e20, 1e154, 1e155, 1e200, 1e300, 1e308])
+
+
+class TestSeriesFuzz:
+    """The exit-code contract over the values in the series: every
+    command on a 400-row sin(t / 3) at a drawn magnitude, with a constant
+    run (of length 0 to the whole series) and then one spike of either
+    sign and any magnitude in a drawn partition (or none), standardized
+    or not."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(magnitude=MAGNITUDES,
+           run=st.tuples(st.integers(0, 399), st.integers(0, 400)),
+           spike=st.tuples(st.sampled_from([None, *PARTITION_ROWS]),
+                           st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]),
+                           MAGNITUDES),
+           standardize=st.booleans())
+    def test_series_keep_exit_code_contract(self, magnitude, run, spike,
+                                            standardize):
+        series = magnitude * np.sin(np.arange(400) / 3)
+        start, length = run
+        series[start:start + length] = series[start]
+        partition, where, sign, size = spike
+        if partition:
+            low, high = PARTITION_ROWS[partition]
+            series[low + int(where * (high - low - 1))] = sign * size
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "series.csv"
+            dataio.save_csv(data, series)
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(with_entries(
+                f"data = {json.dumps(str(data))}",
+                f"standardize = {json.dumps(standardize)}"))
+            _assert_every_command_keeps_contract(cfg, Path(tmp), "alpha")
 
 
 class TestDecompose:
@@ -767,14 +813,28 @@ class TestTrainForecastEval:
 
     @pytest.mark.parametrize("damage", ["header_only", "tensor_removed",
                                         "tensor_repeated", "cut_mid_line",
-                                        "header_key_only", "format_version"])
+                                        "header_key_only", "format_version",
+                                        "negative_shape", "size_wraps",
+                                        "too_big"])
     def test_corrupt_checkpoint(self, damage, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(tiny_config),
                          "--out", str(out)]) == 0
         ckpt = out / "checkpoint.txt"
         lines = ckpt.read_text().splitlines()
-        if damage == "header_only":  # a tensor line with no values after it
+        # the first tensor's shape, values and error, for the shape
+        # damages: the shape's product is 1, 2**64 (0 in int64) and 0
+        shapes = {
+            "negative_shape": ("-1,-1", "1.0",
+                               "negative dimension in shape (-1, -1)"),
+            "size_wraps": ("4294967296,4294967296", "",
+                           "0 values for shape (4294967296, 4294967296)"),
+            "too_big": ("0,4294967296,4294967296", "", "array is too big")}
+        first = lines[4].split(" ")[1]
+        if damage in shapes:
+            shape, values, _ = shapes[damage]
+            lines[4:6] = [f"tensor {first} {shape}", values]
+        elif damage == "header_only":  # a tensor line with no values after it
             lines = lines[:5]
         elif damage == "tensor_removed":
             at = lines.index(next(line for line in lines if
@@ -799,6 +859,8 @@ class TestTrainForecastEval:
         if damage == "tensor_repeated":
             assert err.endswith(f": line {len(lines) - 1}: tensor "
                                 f"s1.b1.proj_f.b is listed twice\n"), err
+        if damage in shapes:
+            assert f": tensor {first}: {shapes[damage][2]}" in err, err
         if damage == "format_version":
             assert err.endswith(": format_version '2' is not 1\n"), err
 
@@ -878,6 +940,33 @@ class TestDeterminism:
         assert files[0].keys() == files[1].keys()
         assert [name for name in files[0]
                 if files[0][name] != files[1][name]] == []
+
+    def test_paper_shape_forecast_identical_across_processes(self,
+                                                              tmp_path):
+        # lookback 720 at the default widths: proj_b is about 700 x 700,
+        # a product whose bits depend on the BLAS thread count, which
+        # both processes share; the checkpoint is the untrained model
+        cfg = tmp_path / "paper.cfg"
+        cfg.write_text("model.n_stacks = 2\nmodel.blocks_per_stack = 1\n"
+                       "synthetic.length = 2400\nsplit.train = 0.34\n"
+                       "split.val = 0.33\nsplit.test = 0.33\n")
+        model_cfg = cfgmod.load_run_config(cfg).model
+        checkpoint = tmp_path / "checkpoint.txt"
+        tr.save_checkpoint(checkpoint, md.init_params(model_cfg), model_cfg)
+        files = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            done = subprocess.run(
+                [sys.executable, "-m", "wavestack.cli", "forecast",
+                 "--config", str(cfg), "--checkpoint", str(checkpoint),
+                 "--out", str(out)],
+                env=subprocess_env(OPENBLAS_NUM_THREADS="2"),
+                capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            files.append({p.name: p.read_bytes()
+                          for p in sorted(out.glob("*.csv"))})
+        assert len(files[0]) == 7
+        assert files[0] == files[1]
 
     def test_byte_identical_reruns(self, tiny_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

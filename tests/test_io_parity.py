@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wavestack import cli, dataio, model as md, training as tr
@@ -73,14 +74,14 @@ def ref_load_checkpoint(path, model_cfg=None):
         try:
             shape = tuple(int(s) for s in shape_s.split(",") if s)
             values = np.array([float(v) for v in lines[i + 1].split()])
+            if any(d < 0 for d in shape):
+                raise ValueError(f"negative dimension in shape {shape}")
+            if values.size != math.prod(shape):
+                raise ValueError(f"{values.size} values for shape {shape}")
+            params[name] = values.reshape(shape)
         except ValueError as exc:
             raise CorruptCheckpoint(
                 f"{path}: tensor {name}: {exc}") from None
-        if values.size != int(np.prod(shape)):
-            raise CorruptCheckpoint(
-                f"{path}: tensor {name}: {values.size} values for shape "
-                f"{shape}")
-        params[name] = values.reshape(shape)
         i += 2
     if header.get("format_version") != "1":
         raise CorruptCheckpoint(f"{path}: format_version "
@@ -274,6 +275,17 @@ class TestCheckpointReader:
     def test_empty_and_header_only(self, tmp_path):
         self._check(tmp_path, b"")
         self._check(tmp_path, b"format_version 1\nepoch 3\n")
+
+    @pytest.mark.parametrize("shape, values", [
+        ("-1,-1", "1.0"), ("4294967296,4294967296", ""),
+        ("0,4294967296,4294967296", "")])
+    def test_damaged_shape(self, tmp_path, shape, values):
+        # the first tensor's shape and values replaced: a negative shape
+        # whose product matches, one whose product wraps to 0 in int64,
+        # and one with a zero dimension too big to allocate
+        lines = _valid_text(tmp_path, self.BASE).split("\n")
+        lines[4:6] = [f"tensor {lines[4].split(' ')[1]} {shape}", values]
+        self._check(tmp_path, "\n".join(lines).encode("utf-8"))
 
 
 # --- CSV ------------------------------------------------------------------
