@@ -162,10 +162,22 @@ def dropout(x: Tensor, rate: float, draws: np.ndarray, tape: Tape) -> Tensor:
     return tape.tensor(y, ((x, lambda g, s=scale_arr: g * s),))
 
 
+def _taps(xv: np.ndarray, k: int, dilation: int, t_out: int) -> np.ndarray:
+    """The k shifted copies of xv's last axis that a dilated convolution
+    weights, [k, ...batch, t_out] flattened to [k, batch * t_out]: row j
+    is xv[..., span - j*dilation:][..., :t_out], span = (k-1)*dilation."""
+    span = (k - 1) * dilation
+    return np.concatenate([xv[..., span - j * dilation:
+                              span - j * dilation + t_out]
+                           for j in range(k)]).reshape(k, -1)
+
+
 def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int,
                    tape: Tape) -> Tensor:
     """Causal valid convolution over the last axis:
-    y_t = sum_j kernel_j * x_{t - j*dilation}."""
+    y_t = sum_j kernel_j * x_{t - j*dilation}.  The output is one product
+    of the kernel with the taps; on a recording tape the kernel gradient
+    keeps x's value, not the taps, and rebuilds them when called."""
     shape = x.value.shape
     t = shape[-1]
     k = kernel.value.shape[0]
@@ -176,11 +188,8 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int,
         raise InputTooShort(
             f"input length {t} < receptive field {span + 1}")
     t_out = t - span
-    # [k, ...batch, t_out] flattened to [k, batch * t_out]: one product
-    taps = np.concatenate([x.value[..., span - j * dilation:
-                                   span - j * dilation + t_out]
-                           for j in range(k)]).reshape(k, -1)
-    y = (kernel.value @ taps).reshape(shape[:-1] + (t_out,))
+    y = (kernel.value @ _taps(x.value, k, dilation, t_out)).reshape(
+        shape[:-1] + (t_out,))
     if not tape.records:
         return Tensor(y)
 
@@ -202,8 +211,9 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, dilation: int,
         return gx.reshape(shape)
 
     return tape.tensor(y, (
-        (kernel, lambda g, out=None, tp=taps:
-            np.matmul(tp, g.reshape(-1), out=out)),
+        (kernel, lambda g, out=None, xv=x.value:
+            np.matmul(_taps(xv, k, dilation, t_out), g.reshape(-1),
+                      out=out)),
         (x, vjp_x),
     ))
 

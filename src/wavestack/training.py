@@ -182,8 +182,9 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig, sq: float,
     and `p -= lr*m_hat / (sqrt(v_hat) + eps)` one operation at a time, in
     their order, so the result is the same bits a per-tensor update
     gives.  A state's first step takes m and v as zeros without reading
-    them: it writes `(1-b1)*g + 0.0` and `(1-b2)*g*g + 0.0`,
-    the bits of `b*0.0 + x` for b >= 0, signed zeros included.
+    them: it writes `(1-b1)*g + 0.0` and `((1-b2)*g)*g`, the bits of
+    `b*0.0 + x` for b >= 0, signed zeros included.  v needs no `+ 0.0`:
+    with 1-b2 > 0 and g finite, `((1-b2)*g)*g` is never -0.0 or NaN.
 
     With `last`, no later step reads the moments, so `state.m` and
     `state.v` are not written: each chunk's new m goes to scratch, and
@@ -216,8 +217,7 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig, sq: float,
         m_, v_ = (s1, g_) if last else (m[lo:hi], v[lo:hi])
         if t == 1:  # m and v are zeros, not read
             np.add(np.multiply(g_, 1.0 - b1, out=s2), 0.0, out=m_)
-            np.add(np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_,
-                               out=s2), 0.0, out=v_)
+            np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_, out=v_)
         else:
             np.multiply(m[lo:hi], b1, out=m_)
             m_ += np.multiply(g_, 1.0 - b1, out=s2)

@@ -84,6 +84,11 @@ MUTANTS = {
         "src/wavestack/wavelet.py",
         "_synthesis_step(raw_high[lvl - 1], pair.high)",
         "_synthesis_step(raw_high[lvl - 1], pair.low)"),
+    # the conv kernel gradient rebuilds the taps at the forward's dilation
+    "kernel_grad_taps_undilated": (
+        "src/wavestack/autodiff.py",
+        "np.matmul(_taps(xv, k, dilation, t_out), g.reshape(-1),",
+        "np.matmul(_taps(xv, k, 1, t_out), g.reshape(-1),"),
     # equivalent: at a tie the factor max_norm / total is exactly 1.0
     "clip_at_tie": (
         "src/wavestack/training.py",

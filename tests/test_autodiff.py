@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,24 @@ class TestDilatedConv:
 
         assert ad.grad_check(build, params) < 1e-5
 
+    def test_recording_keeps_no_taps(self):
+        """A recording convolution keeps its input, which is already the
+        input node's value, and builds its k taps again in backward: what
+        the call leaves allocated is about its output, where keeping the
+        taps [k, B * t_out] would add k outputs more."""
+        rng = np.random.default_rng(0)
+        tape = Tape()
+        x = _leaf(tape, rng.normal(size=(64, 720)))
+        kernel = _leaf(tape, rng.normal(size=7))
+        tracemalloc.start()
+        try:
+            y = ad.dilated_conv1d(x, kernel, 4, tape)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert y.value.shape == (64, 696)
+        assert held < 1.5 * y.value.nbytes, held / y.value.nbytes
+
 
 def _strided_vjp_x(g, kernel, dilation, shape):
     """The conv input gradient as one strided slice add per tap over the
@@ -176,6 +195,46 @@ class TestConvInputGradientBits:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _sliced_vjp_kernel(g, x, k, dilation):
+    """The conv kernel gradient as one product of the taps, each sliced
+    from the forward input: the reference for the VJP that rebuilds
+    them."""
+    span = (k - 1) * dilation
+    t_out = x.shape[-1] - span
+    taps = np.stack([x[..., span - j * dilation:span - j * dilation + t_out]
+                     for j in range(k)])
+    return np.matmul(taps.reshape(k, -1), g.reshape(-1))
+
+
+class TestConvKernelGradientBits:
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 9), dilation=st.integers(1, 4),
+           extra=st.integers(0, 6),
+           lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+           zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_sliced_taps(self, k, dilation, extra, lead,
+                                          zero_share, seed):
+        rng = np.random.default_rng(seed)
+        span = (k - 1) * dilation
+        shape = lead + (span + 1 + extra,)
+        xv = _with_zeros(rng, rng.normal(size=shape), zero_share)
+        g = _with_zeros(rng, rng.normal(size=lead + (1 + extra,)),
+                        zero_share)
+        tape = Tape()
+        x = _leaf(tape, xv)
+        kernel = _leaf(tape, rng.normal(size=k))
+        y = ad.dilated_conv1d(x, kernel, dilation, tape)
+        (vjp_k,) = [vjp for parent, vjp in y.parents if parent is kernel]
+        want = _sliced_vjp_kernel(g, xv, k, dilation)
+        got = vjp_k(g)
+        assert got.shape == want.shape == (k,)
+        assert got.tobytes() == want.tobytes()
+        out = np.full(k, np.nan)
+        assert vjp_k(g, out=out) is out
+        assert out.tobytes() == want.tobytes()
 
 
 class TestPooling:

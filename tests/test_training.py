@@ -290,6 +290,31 @@ class TestAdam:
                     [per_tensor[k].reshape(-1) for k in ref]).tobytes()
         assert state.step == steps
 
+    @pytest.mark.parametrize("last", [False, True])
+    def test_first_step_v_is_the_bits_of_b2_times_zero_plus_g2(self, last):
+        """A first step writes v = ((1-b2)*g)*g with no `+ 0.0`: it is
+        never -0.0 (signed zeros and underflowing subnormals square to
+        +0.0) and an overflowing square is +inf, so v and the weights
+        keep the bits of `b2*0.0 + ((1-b2)*g)*g`."""
+        cfg = tr.TrainConfig()
+        tiny = np.nextafter(0.0, 1.0)
+        g = np.array([0.0, -0.0, tiny, -tiny, 3.0 * tiny, -1e-160, 1e-160,
+                      1e200, -1e200, 5e155, -2.5, 0.7])
+        init = {"w": np.linspace(-1.0, 1.0, g.size)}
+        state, params = _state(init)
+        ref, m, v = ({"w": a.copy()} for a in
+                     (init["w"], np.zeros(g.size), np.zeros(g.size)))
+        b2 = cfg.adam_beta2
+        with np.errstate(over="ignore", under="ignore"):
+            _step(state, {"w": g.copy()}, 1e-2, cfg, last=last)
+            _per_tensor_adam(ref, {"w": g}, m, v, 1, 1e-2, cfg)
+            want_v = b2 * 0.0 + ((1.0 - b2) * g) * g
+        assert v["w"].tobytes() == want_v.tobytes()
+        assert not np.signbit(want_v).any() and np.isinf(want_v).sum() == 3
+        assert (state.grads if last else state.v).tobytes() == \
+            want_v.tobytes()
+        assert params["w"].tobytes() == ref["w"].tobytes()
+
     @settings(max_examples=30, deadline=None)
     @given(shapes=_tiny_shapes, with_big=st.booleans(),
            steps=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
