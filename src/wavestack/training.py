@@ -81,29 +81,33 @@ class TrainState:
     """A model's parameters, gradients and Adam moments, each laid out
     end to end, in the parameter dict's order, in one float64 vector.
     `slots` lists each tensor's (name, slice, shape) in them.  Every
-    buffer is the state's own."""
+    vector is the state's own.  Until the first step, `init` holds the
+    starting tensors, each a C-contiguous float64 array (the caller's
+    own where it is one already, else a converted copy), and the weight
+    vector holds nothing: the first step reads its weights from `init`,
+    which it never writes, and then drops it."""
     weights: np.ndarray
     grads: np.ndarray
     m: np.ndarray
     v: np.ndarray
     scratch: tuple  # two buffers of one Adam chunk
     slots: list
+    init: Optional[dict]
     step: int = 0
 
     @classmethod
     def new(cls, tensors: dict) -> "TrainState":
-        """Lay `tensors` out, copied, in a new weight vector, with Adam
-        at its start: its first step writes the moments whole."""
+        """Lay `tensors` out in new, unwritten vectors, with Adam at its
+        start: its first step writes the weights and the moments whole."""
         slots, end = [], 0
         for name, value in tensors.items():
             slots.append((name, slice(end, end + value.size), value.shape))
             end += value.size
-        weights = np.concatenate(
-            [value.reshape(-1) for value in tensors.values()],
-            dtype=np.float64)
+        init = {name: np.asarray(value, dtype=np.float64, order="C")
+                for name, value in tensors.items()}
         chunk = min(ADAM_CHUNK, end)
-        return cls(weights, *(np.empty(end) for _ in range(3)),
-                   (np.empty(chunk), np.empty(chunk)), slots)
+        return cls(*(np.empty(end) for _ in range(4)),
+                   (np.empty(chunk), np.empty(chunk)), slots, init)
 
     def views(self, buf: np.ndarray) -> dict:
         """Every parameter as a view into `buf`, one of the vectors of
@@ -185,12 +189,16 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig, sq: float,
     them: it writes `(1-b1)*g + 0.0` and `((1-b2)*g)*g`, the bits of
     `b*0.0 + x` for b >= 0, signed zeros included.  v needs no `+ 0.0`:
     with 1-b2 > 0 and g finite, `((1-b2)*g)*g` is never -0.0 or NaN.
+    The first step also copies each chunk's weights from `state.init`,
+    after the chunk's last read of g, and then drops `state.init`.
 
     With `last`, no later step reads the moments, so `state.m` and
     `state.v` are not written: each chunk's new m goes to scratch, and
     its new v over the chunk's spent gradients, which `state.grads` then
     holds.  The weights take the same bits.  A first step that is also
-    last touches neither moment vector.
+    last touches neither moment vector nor the weight vector: each
+    chunk's v stays in scratch and its new weights go over its spent
+    gradients, so that `state.weights` is then `state.grads`.
 
     `sq` is the gradients' sum of squares, `_sum_squares(state.grads)`;
     a non-finite element makes it non-finite (so do finite elements
@@ -208,16 +216,23 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig, sq: float,
     t = state.step
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    if t == 1:
+        p = g if last else p  # a one-step call's weights go over g
+        fill = _init_pieces(state)
     for lo in range(0, g.size, ADAM_CHUNK):
         hi = lo + ADAM_CHUNK
         p_, g_ = p[lo:hi], g[lo:hi]
         s1, s2 = (s[:g_.size] for s in state.scratch)
         # a last step's m is divided in place into lr * m_hat's buffer,
-        # and its v overwrites g once g's last read is done
-        m_, v_ = (s1, g_) if last else (m[lo:hi], v[lo:hi])
-        if t == 1:  # m and v are zeros, not read
+        # and its v overwrites g once g's last read is done; at a first
+        # step that is last, v stays in scratch and the weights take g
+        m_, v_ = ((s1, s2 if t == 1 else g_) if last
+                  else (m[lo:hi], v[lo:hi]))
+        if t == 1:  # m and v are zeros, not read; p_ is filled from
+            # init after g_'s last read, as at a last step p_ is g_
             np.add(np.multiply(g_, 1.0 - b1, out=s2), 0.0, out=m_)
             np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_, out=v_)
+            np.concatenate(next(fill), axis=None, out=p_)
         else:
             np.multiply(m[lo:hi], b1, out=m_)
             m_ += np.multiply(g_, 1.0 - b1, out=s2)
@@ -228,6 +243,26 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig, sq: float,
         np.sqrt(np.divide(v_, c2, out=s2), out=s2)  # sqrt(v_hat)
         s2 += cfg.adam_eps
         p_ -= np.divide(s1, s2, out=s1)
+    if t == 1:
+        state.weights, state.init = p, None
+
+
+def _init_pieces(state: TrainState):
+    """Yields, per Adam chunk of the layout in order, the tensors of
+    `state.init` and the flat slices of them that fill the chunk end to
+    end, for `np.concatenate(..., axis=None)`."""
+    chunk, room = [], ADAM_CHUNK
+    for value in state.init.values():
+        while value.size >= room:  # it fills the chunk
+            flat = value.reshape(-1)
+            chunk.append(flat[:room])
+            yield chunk
+            value, chunk, room = flat[room:], [], ADAM_CHUNK
+        if value.size:
+            chunk.append(value)
+            room -= value.size
+    if chunk:
+        yield chunk
 
 
 def _clip_grads(g: np.ndarray, max_norm: float, sq: float) -> float:
@@ -314,16 +349,18 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
     validation loss.  Parameters, gradients and Adam's moments live in
     one TrainState of this call's own, and the model reads the
     parameters as views into its weight vector; backward writes the
-    gradients into its gradient vector.  `init` is copied, never
-    written.  The returned parameters are views into the weight vector
-    when the last epoch run is the best, else into one copy of the best
-    epoch's weights; no later call writes either.  Raises NonFiniteLoss
-    when no epoch gives a finite validation loss."""
+    gradients into its gradient vector.  The first minibatch's forward
+    reads `init` itself, and the first step fills the weight vector from
+    it (a one-step call writes its weights over its spent gradients);
+    `init` is never written.  The returned parameters are views into the
+    weight vector when the last epoch run is the best, else into one
+    copy of the best epoch's weights; no later call writes either.
+    Raises NonFiniteLoss when no epoch gives a finite validation loss."""
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ValueError("train and validation window sets must be nonempty")
     init = init or md.init_params(model_cfg)
     state = TrainState.new(init)
-    params = state.views(state.weights)
+    params = state.init  # until the first step fills the weights
     grads = state.views(state.grads)
     frozen = [where for name, where, _ in state.slots
               if model_cfg.freeze_conv and ".conv" in name]
@@ -357,6 +394,8 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
             # clipping scales by at most 1, and not at all when sq is not
             # finite, so the elements sq found finite stay finite
             adam_step(state, lr, cfg, sq, last=last)
+            if state.step == 1:
+                params = state.views(state.weights)
             epoch_losses.append(loss)
         train_loss = float(np.mean(epoch_losses))
         val_loss = evaluate(val_windows, params, model_cfg)["mse"]

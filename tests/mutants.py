@@ -89,6 +89,19 @@ MUTANTS = {
         "src/wavestack/autodiff.py",
         "np.matmul(_taps(xv, k, dilation, t_out), g.reshape(-1),",
         "np.matmul(_taps(xv, k, 1, t_out), g.reshape(-1),"),
+    # the first step fills each weight from the same element of init
+    "init_fill_one_late": (
+        "src/wavestack/training.py",
+        "chunk.append(value)",
+        "chunk.append(np.roll(value, -1))"),
+    # a one-step call writes a chunk's weights over its gradients only
+    # after v is computed from them
+    "one_step_weights_before_v": (
+        "src/wavestack/training.py",
+        "            np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_, out=v_)\n"
+        "            np.concatenate(next(fill), axis=None, out=p_)",
+        "            np.concatenate(next(fill), axis=None, out=p_)\n"
+        "            np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_, out=v_)"),
     # equivalent: at a tie the factor max_norm / total is exactly 1.0
     "clip_at_tie": (
         "src/wavestack/training.py",

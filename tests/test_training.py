@@ -152,8 +152,9 @@ class TestSchedule:
 
 
 def _state(params):
-    """A fresh TrainState holding a copy of `params`, and its weights'
-    views by name."""
+    """A fresh TrainState of `params`, and its weight vector's views by
+    name, which hold the weights from the first step on, unless that
+    step is also the last."""
     state = tr.TrainState.new(params)
     return state, state.views(state.weights)
 
@@ -211,8 +212,12 @@ class TestAdam:
 
     def test_converges_on_quadratic(self):
         cfg = tr.TrainConfig()
-        state, params = _state({"w": np.array([5.0])})
-        for _ in range(2000):
+        init = {"w": np.array([5.0])}
+        state, params = _state(init)
+        # the weight vector is written by the first step, so the first
+        # gradient reads init
+        _step(state, {"w": 2.0 * init["w"]}, 0.05, cfg)
+        for _ in range(1999):
             _step(state, {"w": 2.0 * params["w"]}, 0.05, cfg)
         assert abs(params["w"][0]) < 1e-3
 
@@ -311,8 +316,11 @@ class TestAdam:
             want_v = b2 * 0.0 + ((1.0 - b2) * g) * g
         assert v["w"].tobytes() == want_v.tobytes()
         assert not np.signbit(want_v).any() and np.isinf(want_v).sum() == 3
-        assert (state.grads if last else state.v).tobytes() == \
-            want_v.tobytes()
+        if last:  # v stayed in scratch; the weights went over g
+            assert state.weights is state.grads
+            params = state.views(state.weights)
+        else:
+            assert state.v.tobytes() == want_v.tobytes()
         assert params["w"].tobytes() == ref["w"].tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -331,7 +339,7 @@ class TestAdam:
         cfg = tr.TrainConfig()
         init = _random_tensors(shapes, rng)
         storing, stored = _state(init)
-        last, lasted = _state(init)
+        last, _ = _state(init)
         last.m.fill(np.nan)
         last.v.fill(np.nan)
         for t in range(1, steps + 1):
@@ -347,6 +355,7 @@ class TestAdam:
         assert (last.m.tobytes(), last.v.tobytes()) == moments
         assert np.isnan(last.m).all() == np.isnan(last.v).all() == \
             (steps == 1)
+        lasted = last.views(last.weights)
         for name in init:
             assert lasted[name].tobytes() == stored[name].tobytes(), name
 
@@ -782,6 +791,47 @@ print(json.dumps({
         grown = 1024 * (got["peak_kib"] - got["baseline_kib"])
         assert grown <= 4.0 * vector, grown / vector
 
+    def test_one_step_call_holds_no_weight_vector(self):
+        """The chain of the test above, whose one-step calls each read
+        `init` for the first forward and write their new weights over
+        their spent gradients: peak RSS grows by at most 2.5 parameter
+        vectors, the previous result, the gradients and less than half a
+        vector more.  A call that copies `init` into a weight vector of
+        its own grows by about 3.1."""
+        script = """
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from test_training import _toy_windows
+from wavestack import model as md, training as tr
+cfg = md.ModelConfig(n_stacks=2, blocks_per_stack=1, lookback=1024,
+                     horizon=8, hidden_depth=1, hidden_width=8,
+                     conv_variant="none", kernel_sizes=(3, 3),
+                     dropout_rate=0.0, seed=3)
+tcfg = tr.TrainConfig(learning_rate=1e-3, epochs=1, batch_size=2, seed=3)
+init = md.init_params(cfg)
+train_w = _toy_windows(n=1033, lookback=1024, horizon=8)
+val_w = _toy_windows(n=1032, lookback=1024, horizon=8, seed=1)
+baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+held = init
+for _ in range(4):
+    held = tr.train(cfg, train_w, val_w, tcfg, init=held).params
+print(json.dumps({
+    "windows": [len(train_w), len(val_w)],
+    "params": sum(x.size for x in init.values()),
+    "baseline_kib": baseline,
+    "peak_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+        run = subprocess.run([sys.executable, "-c", script,
+                              str(ROOT / "tests")], env=_src_env(),
+                             check=True, capture_output=True, text=True,
+                             timeout=300)
+        got = json.loads(run.stdout.splitlines()[-1])
+        assert got["windows"] == [2, 1]
+        assert got["params"] == 2_134_320
+        vector = 8 * got["params"]
+        grown = 1024 * (got["peak_kib"] - got["baseline_kib"])
+        assert grown <= 2.5 * vector, grown / vector
+
 
 # two models of different sizes, and the run that trains them
 SMALL = dict(lookback=16, conv_variant="dcn", kernel_sizes=(3, 3),
@@ -873,6 +923,78 @@ class TestCallIsolation:
         again = _train(SMALL)
         for name, value in clean.params.items():
             np.testing.assert_array_equal(again.params[name], value, name)
+
+
+def _arrive_as(init, forms, readonly):
+    """`init` with tensor i in the form `forms[i % len(forms)]`: C-order
+    float64 ("c"), float32, Fortran order, a strided view, or a view
+    into one vector that holds the "shared" tensors end to end, as a
+    previous result is.  Returns the tensors and every array that owns
+    their memory; with `readonly`, none of them can be written."""
+    out, owners, shared = {}, [], []
+    for i, (name, x) in enumerate(init.items()):
+        form = forms[i % len(forms)]
+        if form == "float32":
+            out[name] = x.astype(np.float32)
+        elif form == "fortran":
+            out[name] = np.asfortranarray(x)
+        elif form == "strided":
+            wide = np.full(x.shape[:-1] + (2 * x.shape[-1],), np.nan)
+            wide[..., 1::2] = x
+            out[name] = wide[..., 1::2]
+        elif form == "shared":
+            shared.append(name)
+            continue
+        else:
+            out[name] = x.copy()
+        owners.append(out[name] if out[name].base is None
+                      else out[name].base)
+    if shared:
+        vector = np.concatenate([init[k].reshape(-1) for k in shared])
+        owners.append(vector)
+        if readonly:
+            vector.setflags(write=False)
+        end = 0
+        for k in shared:
+            out[k] = vector[end:end + init[k].size].reshape(init[k].shape)
+            end += init[k].size
+    if readonly:
+        for x in owners + list(out.values()):
+            x.setflags(write=False)
+    return {k: out[k] for k in init}, owners
+
+
+class TestInitArrival:
+    @settings(max_examples=40, deadline=None)
+    @given(forms=st.lists(st.sampled_from(["c", "float32", "fortran",
+                                           "strided", "shared"]),
+                          min_size=1, max_size=6),
+           readonly=st.booleans(), freeze=st.booleans(),
+           epochs=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 16))
+    def test_bits_whatever_form_init_takes(self, forms, readonly, freeze,
+                                           epochs, seed):
+        """A call whose first forward and first step read `init` as it
+        arrives trains the bits a call on a C-order float64 copy of it
+        gives, and leaves every byte that holds `init` as it was.  Two
+        windows in batches of 2 make one step per epoch: a one-step call
+        and a 3-step one."""
+        cfg = tiny_cfg(lookback=16, conv_variant="dcn", kernel_sizes=(3, 3),
+                       dropout_rate=0.1, freeze_conv=freeze)
+        train_w = _toy_windows(n=19, lookback=16, seed=seed)
+        val_w = _toy_windows(n=24, lookback=16, seed=seed + 1)
+        run = tr.TrainConfig(learning_rate=1e-2, epochs=epochs, batch_size=2,
+                             grad_clip=1.0, seed=seed)
+        init, owners = _arrive_as(md.init_params(replace(cfg, seed=seed)),
+                                  forms, readonly)
+        held = [x.tobytes(order="A") for x in owners]
+        copy = {k: np.array(x, dtype=np.float64, order="C")
+                for k, x in init.items()}
+        got = tr.train(cfg, train_w, val_w, run, init=init)
+        want = tr.train(cfg, train_w, val_w, run, init=copy)
+        assert [x.tobytes(order="A") for x in owners] == held
+        assert got.history == want.history
+        for name, value in want.params.items():
+            assert got.params[name].tobytes() == value.tobytes(), name
 
 
 def _per_window_forecasts(windows, params, cfg):
