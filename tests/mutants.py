@@ -102,6 +102,11 @@ MUTANTS = {
         "            np.concatenate(next(fill), axis=None, out=p_)",
         "            np.concatenate(next(fill), axis=None, out=p_)\n"
         "            np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_, out=v_)"),
+    # the sym4 low-pass filter is the table's to the last ulp
+    "sym4_coefficient_one_ulp": (
+        "src/wavestack/wavelet.py",
+        "0.8037387518059161,",
+        "0.8037387518059162,"),
     # equivalent: at a tie the factor max_norm / total is exactly 1.0
     "clip_at_tie": (
         "src/wavestack/training.py",
