@@ -8,10 +8,12 @@ path.  On a recording Tape every operation appends a node, with its
 parents and their VJP closures; Tape.backward walks the nodes in reverse
 append order exactly once, accumulating (never overwriting) gradients
 into fan-out tensors.  A VJP whose second parameter is `out` can write
-its result into a buffer the caller of backward gives.  On an
-InferenceTape, for forward passes that need no gradient, every
-operation computes the same value bits and returns it as a bare Tensor
-before it builds any VJP closure or parents tuple.
+its result into a buffer the caller of backward gives; given buffers,
+only leaves keep a gradient, and each interior node drops its own once
+its VJPs have read it.  On an InferenceTape, for forward passes that
+need no gradient, every operation computes the same value bits and
+returns it as a bare Tensor before it builds any VJP closure or parents
+tuple.
 """
 
 from __future__ import annotations
@@ -71,28 +73,35 @@ class Tape:
         result straight into the buffer, as numpy's `out=` does, any
         other is copied there, a later contribution is added in place,
         and the buffer of a leaf never reached is zero-filled.  The bits
-        are those of the allocated gradients."""
+        are those of the allocated gradients.  Under `into` only leaves
+        keep a .grad: a node with parents hands its gradient to its VJPs
+        and sets its .grad to None first, so each interior gradient is
+        freed once backward has passed it."""
         if loss.value.ndim != 0 and loss.value.size != 1:
             raise ShapeMismatch("backward requires a scalar loss")
+        release = into is not None
         into = into or {}
         for node in self.nodes:
             node.grad = None
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes):
-            if node.grad is None:
+            g = node.grad
+            if g is None:
                 continue
+            if release and node.parents:
+                node.grad = None
             for parent, vjp in node.parents:
                 buf = into.get(parent)
                 if buf is None:
-                    contribution = vjp(node.grad)
+                    contribution = vjp(g)
                     parent.grad = contribution if parent.grad is None \
                         else parent.grad + contribution
                 elif parent.grad is not None:
-                    buf += vjp(node.grad)
+                    buf += vjp(g)
                 elif vjp.__code__.co_varnames[1:2] == ("out",):
-                    parent.grad = vjp(node.grad, out=buf)
+                    parent.grad = vjp(g, out=buf)
                 else:
-                    np.copyto(buf, vjp(node.grad))
+                    np.copyto(buf, vjp(g))
                     parent.grad = buf
         for node in self.nodes:
             if node.grad is None and not node.parents:

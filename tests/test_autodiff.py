@@ -420,20 +420,54 @@ class TestTape:
         np.testing.assert_allclose(y.value, [0.4, 1.6])
 
 
+def _recording(vjp, node, handed):
+    """`vjp` behind a wrapper of its signature, (g) or (g, out=None), so
+    that backward takes the same branch for it; the wrapper records in
+    `handed[node]` the gradient `node` hands its VJPs and a copy of it,
+    and checks that every VJP of the node gets that one array."""
+    def record(g):
+        assert handed.setdefault(node, (g, g.copy()))[0] is g
+
+    if vjp.__code__.co_varnames[1:2] == ("out",):
+        def wrapped(g, out=None):
+            record(g)
+            return vjp(g, out=out)
+    else:
+        def wrapped(g):
+            record(g)
+            return vjp(g)
+    return wrapped
+
+
 def _grads_of_every_node(build, buffers=None):
     """Run `build(tape)`, which gives (loss, {name: leaf}), and backward,
     into the buffers of `buffers` ({name: array}) when given; returns a
     copy of every node's gradient in tape order (None where backward
-    left none), the leaves, and every node's value before and after."""
+    gave none), the leaves, and every node's value after and before.
+    That is each node's .grad after backward, except under buffers for a
+    node with parents: it keeps no .grad then, and its gradient is the
+    copy that its VJPs' wrappers recorded as backward called them.
+    Allocating, such a node keeps the very array it handed its VJPs."""
     tape = Tape()
     loss, leaves = build(tape)
     values = [node.value.copy() for node in tape.nodes]
+    handed = {}
+    for node in tape.nodes:
+        node.parents = tuple((parent, _recording(vjp, node, handed))
+                             for parent, vjp in node.parents)
     into = None if buffers is None else \
         {leaves[name]: buf for name, buf in buffers.items()}
     tape.backward(loss, into)
-    return [None if node.grad is None else node.grad.copy()
-            for node in tape.nodes], leaves, \
-        [node.value for node in tape.nodes], values
+    grads = []
+    for node in tape.nodes:
+        g, copy = handed.get(node, (None, None))
+        if node.parents and into is not None:
+            assert node.grad is None  # only leaves keep a gradient
+        else:
+            assert not node.parents or node.grad is g
+            copy = None if node.grad is None else node.grad.copy()
+        grads.append(copy)
+    return grads, leaves, [node.value for node in tape.nodes], values
 
 
 def _same_bits(a, b):

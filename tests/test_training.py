@@ -832,6 +832,53 @@ print(json.dumps({
         grown = 1024 * (got["peak_kib"] - got["baseline_kib"])
         assert grown <= 2.5 * vector, grown / vector
 
+    def test_batch_step_holds_node_values_and_one_layer_of_gradients(self):
+        """One warm `_batch_grads` step at the paper's batch of 128, on a
+        model whose activations dominate its 38k parameters: 2 stacks of
+        4 blocks whose residuals are [128, 256].  Backward writes the
+        parameter gradients into buffers made before tracing starts, so
+        the traced peak holds the node values the step's tape records
+        (V, counted on a tape of the same forward) and one layer of
+        gradients.  As backward passes a block that layer is the residual
+        chain's gradient, the block sums' gradient, the gradient being
+        passed and the contribution being added to the chain: at most 4
+        arrays of one activation's size A = 8 * 128 * 256 bytes.  Allow
+        as many again for the VJPs' temporaries and the tape's Python
+        objects, so the peak stays within V + 8 A.  (Measured: V is
+        26.5 A, and the peak V + 6.0 A; a backward that keeps every
+        interior gradient peaks at V + 21.0 A.)"""
+        cfg = md.ModelConfig(n_stacks=2, blocks_per_stack=4, lookback=256,
+                             horizon=8, hidden_depth=2, hidden_width=8,
+                             theta_backcast_dim=8, conv_variant="none",
+                             dropout_rate=0.1)
+        params = md.init_params(cfg)
+        windows = _toy_windows(n=391, lookback=256, horizon=8)
+        batch = np.arange(128)
+        assert len(windows) == 128
+        tape = Tape()
+        _, leaves = md.forward_loss(windows.inputs[batch],
+                                    windows.targets[batch], params, cfg,
+                                    tape, np.random.default_rng(0))
+        kept = set(leaves.values())
+        values = sum(node.value.nbytes for node in tape.nodes
+                     if node not in kept)
+        del tape, leaves, kept
+        activation = 8 * 128 * 256
+        grads = _nan_buffers(params)
+        tr._batch_grads(batch, windows, params, cfg,
+                        np.random.default_rng(0), grads)
+        tracemalloc.start()
+        try:
+            tr._batch_grads(batch, windows, params, cfg,
+                            np.random.default_rng(0), grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(x.size for x in params.values()) < 40_000
+        assert values >= 20 * activation, values / activation
+        assert peak <= values + 8 * activation, \
+            (peak - values) / activation
+
 
 # two models of different sizes, and the run that trains them
 SMALL = dict(lookback=16, conv_variant="dcn", kernel_sizes=(3, 3),
