@@ -1,12 +1,14 @@
-"""The bytes the CLI writes, pinned: one run of every file-writing
-command under each wavelet kind, checked against a committed SHA-256
-manifest.  A change that keeps every bit passes unchanged; a change that
-moves bytes on purpose regenerates the manifest and names each moved
-file, as the failure message does.
+"""The bytes the CLI writes, pinned: `train`, `forecast`, `eval
+--baseline` and `ablate --axis alpha`, run once under each wavelet kind,
+checked file by file against a committed SHA-256 manifest.  A change
+that keeps every bit passes unchanged; a change that moves bytes on
+purpose regenerates the manifest and names each moved file, as the
+failure message does.  Run from the repository root,
 
-    PYTHONPATH=src python tests/test_cli_manifest.py > tests/data/cli_manifest.txt
+    PYTHONPATH=src python tests/test_cli_manifest.py \
+        > tests/data/cli_manifest.txt
 
-prints a fresh manifest.  Like README's byte-identity contract, it holds
+writes a fresh manifest.  Like README's byte-identity contract, it holds
 for one numpy and BLAS build."""
 
 from __future__ import annotations
@@ -69,10 +71,11 @@ def run_matrix(root: Path) -> dict:
             if path.is_file() and path.name != "run.cfg"}
 
 
-def read_manifest(path: Path = MANIFEST) -> dict:
-    """{relative path: SHA-256} from lines of `<digest>  <path>`."""
+def read_manifest() -> dict:
+    """{relative path: SHA-256} from MANIFEST's `<digest>  <path>` lines."""
+    lines = MANIFEST.read_text().splitlines()
     return {name: digest for digest, name in
-            (line.split("  ", 1) for line in path.read_text().splitlines())}
+            (line.split("  ", 1) for line in lines)}
 
 
 def format_manifest(digests: dict) -> str:

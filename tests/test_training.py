@@ -834,7 +834,7 @@ print(json.dumps({
 
     def test_batch_step_holds_node_values_and_one_layer_of_gradients(self):
         """One warm `_batch_grads` step at the paper's batch of 128, on a
-        model whose activations dominate its 38k parameters: 2 stacks of
+        model whose activations dominate its 37k parameters: 2 stacks of
         4 blocks whose residuals are [128, 256].  Backward writes the
         parameter gradients into buffers made before tracing starts, so
         the traced peak holds the node values the step's tape records
