@@ -7,10 +7,10 @@ last axis, so one window [T] and a batch of windows [B, T] take the same
 path.  On a recording Tape every operation appends a node, with its
 parents and their VJP closures; Tape.backward walks the nodes in reverse
 append order exactly once, accumulating (never overwriting) gradients
-into fan-out tensors.  A VJP whose second parameter is `out` can write
-its result into a buffer the caller of backward gives; given buffers,
-only leaves keep a gradient, and each interior node drops its own once
-its VJPs have read it.  On an InferenceTape, for forward passes that
+into fan-out tensors; only leaves keep a gradient, as each interior
+node drops its own once its VJPs have read it.  A VJP whose second
+parameter is `out` can write its result into a buffer the caller of
+backward gives.  On an InferenceTape, for forward passes that
 need no gradient, every operation computes the same value bits and
 returns it as a bare Tensor before it builds any VJP closure or parents
 tuple.
@@ -63,23 +63,22 @@ class Tape:
         return node
 
     def backward(self, loss: Tensor, into=None):
-        """Populate .grad on every node reachable from `loss`.  A gradient
-        is allocated when a node is first reached; a leaf never reached
-        gets zeros.  Allocated gradients are never updated in place,
-        because the identity VJPs hand one array to several nodes.
+        """Give every leaf on the tape its gradient of `loss` as .grad; a
+        leaf never reached gets zeros.  Only leaves keep a .grad: a node
+        with parents hands its gradient to its VJPs and sets its .grad
+        to None first, so each interior gradient is freed once backward
+        has passed it.  A gradient is allocated when a node is first
+        reached and never updated in place, because the identity VJPs
+        hand one array to several nodes.
 
         `into` maps leaf tensors to buffers of their shape, which become
         their .grad: a VJP whose second parameter is `out` writes its
         result straight into the buffer, as numpy's `out=` does, any
         other is copied there, a later contribution is added in place,
         and the buffer of a leaf never reached is zero-filled.  The bits
-        are those of the allocated gradients.  Under `into` only leaves
-        keep a .grad: a node with parents hands its gradient to its VJPs
-        and sets its .grad to None first, so each interior gradient is
-        freed once backward has passed it."""
+        are those of the allocated gradients."""
         if loss.value.ndim != 0 and loss.value.size != 1:
             raise ShapeMismatch("backward requires a scalar loss")
-        release = into is not None
         into = into or {}
         for node in self.nodes:
             node.grad = None
@@ -88,7 +87,7 @@ class Tape:
             g = node.grad
             if g is None:
                 continue
-            if release and node.parents:
+            if node.parents:
                 node.grad = None
             for parent, vjp in node.parents:
                 buf = into.get(parent)

@@ -102,24 +102,19 @@ MUTANTS = {
         "            np.concatenate(next(fill), axis=None, out=p_)",
         "            np.concatenate(next(fill), axis=None, out=p_)\n"
         "            np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_, out=v_)"),
-    # under `into` a node drops its gradient only after reading it
+    # a node drops its gradient only after reading it
     "grad_released_before_read": (
         "src/wavestack/autodiff.py",
         "            g = node.grad\n"
         "            if g is None:\n"
         "                continue\n"
-        "            if release and node.parents:\n"
+        "            if node.parents:\n"
         "                node.grad = None\n",
-        "            if release and node.parents:\n"
+        "            if node.parents:\n"
         "                node.grad = None\n"
         "            g = node.grad\n"
         "            if g is None:\n"
         "                continue\n"),
-    # an allocating backward keeps every interior gradient
-    "grad_released_when_allocating": (
-        "src/wavestack/autodiff.py",
-        "release = into is not None",
-        "release = True"),
     # the sym4 low-pass filter is the table's to the last ulp
     "sym4_coefficient_one_ulp": (
         "src/wavestack/wavelet.py",

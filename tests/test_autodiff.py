@@ -444,10 +444,9 @@ def _grads_of_every_node(build, buffers=None):
     into the buffers of `buffers` ({name: array}) when given; returns a
     copy of every node's gradient in tape order (None where backward
     gave none), the leaves, and every node's value after and before.
-    That is each node's .grad after backward, except under buffers for a
-    node with parents: it keeps no .grad then, and its gradient is the
-    copy that its VJPs' wrappers recorded as backward called them.
-    Allocating, such a node keeps the very array it handed its VJPs."""
+    A leaf's gradient is its .grad after backward.  A node with parents
+    keeps no .grad, so its gradient is the copy that its VJPs' wrappers
+    recorded as backward called them."""
     tape = Tape()
     loss, leaves = build(tape)
     values = [node.value.copy() for node in tape.nodes]
@@ -460,13 +459,11 @@ def _grads_of_every_node(build, buffers=None):
     tape.backward(loss, into)
     grads = []
     for node in tape.nodes:
-        g, copy = handed.get(node, (None, None))
-        if node.parents and into is not None:
+        if node.parents:
             assert node.grad is None  # only leaves keep a gradient
+            grads.append(handed.get(node, (None, None))[1])
         else:
-            assert not node.parents or node.grad is g
-            copy = None if node.grad is None else node.grad.copy()
-        grads.append(copy)
+            grads.append(node.grad.copy())
     return grads, leaves, [node.value for node in tape.nodes], values
 
 
