@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -23,6 +24,10 @@ from .errors import (
 )
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# Values per piece of a value line that `save_checkpoint` formats at once:
+# a piece's floats and their text are all that is held beside the tensor.
+SAVE_PIECE = 1 << 16
 
 # Windows per forward pass in `forecast_bundles`.  A pass holds a few
 # arrays of [chunk, lookback] per block, so the chunk bounds inference
@@ -427,8 +432,9 @@ def config_hash(model_cfg: md.ModelConfig) -> str:
 def save_checkpoint(path, params: dict, model_cfg: md.ModelConfig,
                     epoch: int = -1, val_loss: float = float("nan")) -> None:
     """Plain-text named-tensor container; floats are written with repr so
-    reloads are bit-exact.  The file is written one tensor at a time, so
-    that the text of only one tensor is held at once."""
+    reloads are bit-exact.  Each value line is written in pieces of at
+    most SAVE_PIECE values, so only one piece's floats and text are held
+    at once."""
     with open(path, "w") as fh:
         fh.write(f"format_version {CHECKPOINT_FORMAT_VERSION}\n"
                  f"config_hash {config_hash(model_cfg)}\n"
@@ -437,9 +443,13 @@ def save_checkpoint(path, params: dict, model_cfg: md.ModelConfig,
         for name in sorted(params):
             arr = params[name]
             shape = ",".join(str(s) for s in arr.shape)
-            values = np.asarray(arr, dtype=np.float64).reshape(-1).tolist()
+            flat = np.asarray(arr, dtype=np.float64).reshape(-1)
             fh.write(f"tensor {name} {shape}\n")
-            fh.write(" ".join(map(repr, values)))
+            for start in range(0, flat.size, SAVE_PIECE):
+                if start:
+                    fh.write(" ")
+                piece = flat[start:start + SAVE_PIECE].tolist()
+                fh.write(" ".join(map(repr, piece)))
             fh.write("\n")
 
 
@@ -454,7 +464,10 @@ def load_checkpoint(path, model_cfg: Optional[md.ModelConfig] = None):
     raises the UnicodeDecodeError that reading it whole reports, wherever
     the bad byte lies, before any other error."""
     try:
-        with open(path) as fh:
+        with open(path) as fh, warnings.catch_warnings():
+            # numpy releases that only warn about text np.fromstring cannot
+            # read to its end: the warning rejects the line as an error does
+            warnings.simplefilter("error", DeprecationWarning)
             params, header = _read_checkpoint(path, fh)
     except UnicodeDecodeError:
         with open(path) as fh:
@@ -510,8 +523,7 @@ def _read_checkpoint(path, fh):
             raise corrupt(f"line {no}: tensor {name} is listed twice")
         try:
             shape = tuple(int(s) for s in shape_s.split(",") if s)
-            tokens = value_line.split()
-            values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+            values = _parse_values(value_line)
             if min(shape, default=0) < 0:
                 raise ValueError(f"negative dimension in shape {shape}")
             if values.size != math.prod(shape):
@@ -521,6 +533,24 @@ def _read_checkpoint(path, fh):
             raise corrupt(f"tensor {name}: {exc}") from None
         no, line = next(lines, (None, None))
     return params, header
+
+
+def _parse_values(line: str) -> np.ndarray:
+    """The floats of a value line, with `float()`'s bits and errors.
+    numpy parses the line in C with the same correctly rounded conversion
+    that `float()` uses, without a Python object per value.  A line it
+    rejects (underscores, non-ASCII digits or whitespace, junk) goes
+    through `float()`, which reports the error or reads what numpy cannot,
+    and so does a line that numpy reads differently: one that holds `n`
+    or `N` (numpy drops the sign of `-nan` and accepts `nan(1)`) or only
+    whitespace (numpy reads one value from it)."""
+    if "n" not in line and "N" not in line and not line.isspace():
+        try:
+            return np.fromstring(line, np.float64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            pass
+    tokens = line.split()
+    return np.fromiter(map(float, tokens), np.float64, len(tokens))
 
 
 def save_history(path, history) -> None:

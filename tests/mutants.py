@@ -115,6 +115,17 @@ MUTANTS = {
         "            g = node.grad\n"
         "            if g is None:\n"
         "                continue\n"),
+    # a value line that holds n or N is read by float(), not numpy's C
+    # parse, which drops the sign of -nan and accepts nan(1)
+    "checkpoint_c_parse_unguarded": (
+        "src/wavestack/training.py",
+        'if "n" not in line and "N" not in line and not line.isspace():',
+        "if not line.isspace():"),
+    # and so is a line of whitespace alone, from which numpy reads -1.0
+    "checkpoint_c_parse_on_blank_line": (
+        "src/wavestack/training.py",
+        'if "n" not in line and "N" not in line and not line.isspace():',
+        'if "n" not in line and "N" not in line:'),
     # the sym4 low-pass filter is the table's to the last ulp
     "sym4_coefficient_one_ulp": (
         "src/wavestack/wavelet.py",

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import inspect
 import io
 import json
@@ -752,6 +753,30 @@ class TestTrainForecastEval:
         assert lines[0] == "scale,model,mse,mae"
         labels = {line.split(",")[1] for line in lines[1:]}
         assert labels == {"model", "persistence"}
+
+    def test_warm_calls_leave_no_cyclic_garbage(self, tiny_config,
+                                                tmp_path):
+        """`main` builds its parser once per process, so warm `train`,
+        `forecast` and `eval` calls leave nothing for the cycle collector;
+        a parser built per call left about 245 objects each."""
+        ckpt = str(tmp_path / "train" / "checkpoint.txt")
+        calls = [["train", "--out", str(tmp_path / "train")],
+                 ["forecast", "--checkpoint", ckpt,
+                  "--out", str(tmp_path / "fc")],
+                 ["eval", "--checkpoint", ckpt, "--baseline",
+                  "--out", str(tmp_path / "ev")]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in calls:
+                assert cli.main(argv + ["--config", str(tiny_config)]) == 0
+            gc.collect()
+            gc.disable()
+            try:
+                for argv in calls:
+                    assert cli.main(
+                        argv + ["--config", str(tiny_config)]) == 0
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
     @pytest.mark.parametrize("standardize", [True, False])
     def test_persistence_baseline_repeats_last_input(self, standardize,

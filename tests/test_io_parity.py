@@ -198,11 +198,13 @@ def _valid_text(tmp_path, params):
 # What damage inserts: the separators splitlines() breaks at and file
 # iteration does not (\x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029),
 # newlines of each kind, whitespace that split() takes, and text that
-# float() and int() accept or reject.
+# float() and int() accept or reject, or that numpy's C parse reads
+# otherwise than float() does.
 INSERTS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
            "\u2029", "\n", "\r", "\r\n", "\n\n", " ", "  ", "\t", "\xa0",
            "x", "e", "-", "_", ",", "1", "0x1", "nan", "inf", "1_0",
-           "\u0663", "tensor ", "tensor a 2\n", "key value\n"]
+           "\u0663", "-nan", "NaN", "nan(1)", "Infinity", "1e5.5",
+           "tensor ", "tensor a 2\n", "key value\n"]
 damage_st = st.lists(
     st.tuples(st.floats(0.0, 1.0),
               st.sampled_from(["insert", "delete", "truncate"]),
@@ -242,6 +244,10 @@ class TestCheckpointReader:
     @example(steps=[(1.0, "insert", "\x0b", 1)])
     @example(steps=[(0.2, "insert", "\r", 1)])
     @example(steps=[(0.6, "delete", "x", 3)])
+    # the last value line, "1.0 0.0 0.0", made "1.0 0.0 -nan": float()
+    # keeps the sign bit of -nan
+    @example(steps=[(1 - 1e-9, "truncate", "x", 1)] * 4 +
+             [(1.0, "insert", "-nan", 1)])
     def test_damaged_text(self, tmp_path, steps):
         text = _valid_text(tmp_path, self.BASE)
         self._check(tmp_path, _damage(text, steps).encode("utf-8"))
@@ -283,6 +289,18 @@ class TestCheckpointReader:
         # the first tensor's shape and values replaced: a negative shape
         # whose product matches, one whose product wraps to 0 in int64,
         # and one with a zero dimension too big to allocate
+        lines = _valid_text(tmp_path, self.BASE).split("\n")
+        lines[4:6] = [f"tensor {lines[4].split(' ')[1]} {shape}", values]
+        self._check(tmp_path, "\n".join(lines).encode("utf-8"))
+
+    @pytest.mark.parametrize("shape, values", [
+        ("1", "-nan"), ("2", "1.5 -NaN"), ("1", "nan(1)"), ("1", "Infinity"),
+        ("1", "1e5.5"), ("1", "1_0"), ("1", "\u0663"), ("2", "1\x1f2"),
+        ("2", "1\xa02"), ("", " "), ("0", "\t"), ("2", " 1 2 ")])
+    def test_value_line(self, tmp_path, shape, values):
+        # the first tensor's values replaced by text that numpy's C parse
+        # reads otherwise than float() does (the sign of -nan, nan(1), a
+        # line of whitespace alone) or rejects, and by padded values
         lines = _valid_text(tmp_path, self.BASE).split("\n")
         lines[4:6] = [f"tensor {lines[4].split(' ')[1]} {shape}", values]
         self._check(tmp_path, "\n".join(lines).encode("utf-8"))

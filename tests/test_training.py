@@ -749,6 +749,35 @@ class TestMemory:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
 
+    @pytest.mark.parametrize("step", ["save", "load"])
+    def test_checkpoint_io_peak_below_three_file_sizes(self, step,
+                                                       tmp_path):
+        """Saving or loading one 2**18-value tensor (a 5.3 MB file) peaks
+        below three times the file's size.  A save holds one piece of at
+        most SAVE_PIECE floats and their text; a load holds the value line
+        as read and as split into lines, and the array it returns.  The
+        floats and text of every value at once take about six file
+        sizes."""
+        cfg = tiny_cfg()
+        values = np.random.default_rng(0).standard_normal(2 ** 18)
+        path = tmp_path / "ckpt.txt"
+        if step == "load":
+            tr.save_checkpoint(path, {"w": values}, cfg)
+        tracemalloc.start()
+        try:
+            if step == "save":
+                tr.save_checkpoint(path, {"w": values}, cfg)
+            else:
+                loaded, _ = tr.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if step == "load":
+            np.testing.assert_array_equal(loaded["w"], values)
+        size = path.stat().st_size
+        assert 5.0e6 < size < 5.6e6, size
+        assert peak < 3 * size, peak / size
+
     def test_chained_one_step_calls_peak_rss_below_four_vectors(self):
         """Four one-step `train` calls on a 2.1M-parameter model, chained
         as in the test above, in a fresh process.  Peak RSS grows by at
