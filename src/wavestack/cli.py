@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The parser `main` uses, built on its first call and kept for the
-# process: a parser costs about 0.75 ms to build and leaves a few hundred
+# process: a parser costs about 1 ms to build and leaves a few hundred
 # objects in reference cycles, and parse_args does not change it.
 _main_parser = functools.cache(build_parser)
 
