@@ -17,37 +17,40 @@ from .wavelet import FilterKind
 
 SPEC_VERSION = 1
 
-# keys outside the model./train./ensemble. sections: (type, default)
+# keys outside the model./train./ensemble. sections: (type, default,
+# lower bound of the value or of each list element, or None)
 _TOP_LEVEL = {
-    "spec_version": (int, SPEC_VERSION),
-    "data": (str, None),
-    "value_column": (str, "value"),
-    "stride": (int, 1),
-    "standardize": (bool, True),
-    "split.train": (float, 0.70),
-    "split.val": (float, 0.10),
-    "split.test": (float, 0.20),
-    "synthetic.length": (int, 480),
-    "synthetic.noise": (float, 0.0),
-    "synthetic.seed": (int, 0),
-    "decompose.levels": (int, None),  # defaults to n_stacks - 1
-    "decompose.kind": (str, None),  # defaults to model wavelet kind
-    "ablate.repetitions": (int, 3),
-    "ablate.alpha_grid": (list[float], [0.0, 0.4, 1.0]),
-    "ablate.stacks_grid": (list[int], [2, 3, 4]),
-    "ablate.conv_grid": (list[str], ["dcn", "cnn", "maxpool", "avgpool"]),
-    "ablate.ensemble_grid": (list[int], [1, 3, 5]),
-    "ablate.noise_grid": (list[float], [0.025, 0.05, 0.075]),
+    "spec_version": (int, SPEC_VERSION, None),
+    "data": (str, None, None),
+    "value_column": (str, "value", None),
+    "stride": (int, 1, 1),
+    "standardize": (bool, True, None),
+    "split.train": (float, 0.70, 0),
+    "split.val": (float, 0.10, 0),
+    "split.test": (float, 0.20, 0),
+    "synthetic.length": (int, 480, 1),
+    "synthetic.noise": (float, 0.0, 0),
+    "synthetic.seed": (int, 0, 0),
+    "decompose.levels": (int, None, 1),  # defaults to n_stacks - 1
+    "decompose.kind": (str, None, None),  # defaults to model wavelet kind
+    "ablate.repetitions": (int, 3, 1),
+    "ablate.alpha_grid": (list[float], [0.0, 0.4, 1.0], 0),
+    "ablate.stacks_grid": (list[int], [2, 3, 4], 1),
+    "ablate.conv_grid": (list[str], ["dcn", "cnn", "maxpool", "avgpool"],
+                         None),
+    "ablate.ensemble_grid": (list[int], [1, 3, 5], 1),
+    "ablate.noise_grid": (list[float], [0.025, 0.05, 0.075], 0),
 }
 
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig,
              "ensemble": EnsembleConfig}
 
 # every accepted key; a section key is typed by its dataclass annotation
-_SCHEMA = {**_TOP_LEVEL, **{
+_SCHEMA = {key: (kind, default)
+           for key, (kind, default, _) in _TOP_LEVEL.items()} | {
     f"{head}.{name}": (kind, getattr(cls, name))
     for head, cls in _SECTIONS.items()
-    for name, kind in get_type_hints(cls).items()}}
+    for name, kind in get_type_hints(cls).items()}
 
 
 def _typed(kind, value):
@@ -123,7 +126,7 @@ def load_run_config(path=None, text=None) -> RunConfig:
             f"unsupported spec_version {entries.get('spec_version')!r}")
 
     sections = {head: {} for head in _SECTIONS}
-    options = {key: default for key, (_, default) in _TOP_LEVEL.items()}
+    options = {key: default for key, (_, default, _) in _TOP_LEVEL.items()}
     for key, value in entries.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
@@ -139,21 +142,16 @@ def load_run_config(path=None, text=None) -> RunConfig:
             built[head] = cls(**sections[head])
         except ValueError as exc:
             raise ConfigError(f"{head}: {exc}") from exc
-    model, train, ensemble = built.values()
     if options["decompose.levels"] is None:
-        options["decompose.levels"] = max(1, model.n_stacks - 1)
+        options["decompose.levels"] = max(1, built["model"].n_stacks - 1)
     if options["decompose.kind"] is None:
-        options["decompose.kind"] = model.wavelet_kind
+        options["decompose.kind"] = built["model"].wavelet_kind
     for key, values in options.items():
         if key.endswith("_grid") and not values:
             raise ConfigError(f"{key} must hold at least one value")
-    for key, low in (("stride", 1), ("split.train", 0), ("split.val", 0),
-                     ("split.test", 0), ("synthetic.length", 1),
-                     ("synthetic.noise", 0), ("synthetic.seed", 0),
-                     ("decompose.levels", 1),
-                     ("ablate.repetitions", 1), ("ablate.alpha_grid", 0),
-                     ("ablate.stacks_grid", 1), ("ablate.ensemble_grid", 1),
-                     ("ablate.noise_grid", 0)):
+    for key, (_, _, low) in _TOP_LEVEL.items():
+        if low is None:
+            continue
         values = options[key]
         if not isinstance(values, list):
             values = [values]
@@ -173,8 +171,7 @@ def load_run_config(path=None, text=None) -> RunConfig:
              options["split.test"])
     if abs(sum(fracs) - 1.0) > 1e-9:
         raise ConfigError("split fractions must sum to 1")
-    return RunConfig(model=model, train=train, ensemble=ensemble,
-                     options=options)
+    return RunConfig(**built, options=options)
 
 
 def resolved_config_text(run: RunConfig) -> str:
@@ -183,8 +180,7 @@ def resolved_config_text(run: RunConfig) -> str:
     lines = [f"spec_version = {SPEC_VERSION}"]
     for key in sorted(k for k in run.options if k != "spec_version"):
         lines.append(f"{key} = {json.dumps(run.options[key])}")
-    for section, cfg in (("model", run.model), ("train", run.train),
-                         ("ensemble", run.ensemble)):
-        for name, value in sorted(asdict(cfg).items()):
+    for section in _SECTIONS:
+        for name, value in sorted(asdict(getattr(run, section)).items()):
             lines.append(f"{section}.{name} = {json.dumps(value)}")
     return "\n".join(lines) + "\n"

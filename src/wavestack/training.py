@@ -197,13 +197,13 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig, sq: float,
     The first step also copies each chunk's weights from `state.init`,
     after the chunk's last read of g, and then drops `state.init`.
 
-    With `last`, no later step reads the moments, so `state.m` and
-    `state.v` are not written: each chunk's new m goes to scratch, and
-    its new v over the chunk's spent gradients, which `state.grads` then
-    holds.  The weights take the same bits.  A first step that is also
-    last touches neither moment vector nor the weight vector: each
-    chunk's v stays in scratch and its new weights go over its spent
-    gradients, so that `state.weights` is then `state.grads`.
+    A first step that is also `last` (a one-step call: no later step
+    reads the moments) touches neither moment vector nor the weight
+    vector: each chunk's m and v stay in scratch and its new weights go
+    over its spent gradients, so that `state.weights` is then
+    `state.grads`.  The weights take the same bits.  At a later step
+    `last` changes nothing: the call's first step has already written
+    both moment vectors whole.
 
     `sq` is the gradients' sum of squares, `_sum_squares(state.grads)`;
     a non-finite element makes it non-finite (so do finite elements
@@ -221,29 +221,27 @@ def adam_step(state: TrainState, lr: float, cfg: TrainConfig, sq: float,
     t = state.step
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    one_step = last and t == 1
     if t == 1:
-        p = g if last else p  # a one-step call's weights go over g
+        p = g if one_step else p  # a one-step call's weights go over g
         fill = _init_pieces(state)
     for lo in range(0, g.size, ADAM_CHUNK):
         hi = lo + ADAM_CHUNK
         p_, g_ = p[lo:hi], g[lo:hi]
         s1, s2 = (s[:g_.size] for s in state.scratch)
-        # a last step's m is divided in place into lr * m_hat's buffer,
-        # and its v overwrites g once g's last read is done; at a first
-        # step that is last, v stays in scratch and the weights take g
-        m_, v_ = ((s1, s2 if t == 1 else g_) if last
-                  else (m[lo:hi], v[lo:hi]))
+        # a one-step call's m is divided in place into lr * m_hat's
+        # buffer, and its v stays in sqrt(v_hat)'s
+        m_, v_ = (s1, s2) if one_step else (m[lo:hi], v[lo:hi])
         if t == 1:  # m and v are zeros, not read; p_ is filled from
-            # init after g_'s last read, as at a last step p_ is g_
+            # init after g_'s last read, as in a one-step call p_ is g_
             np.add(np.multiply(g_, 1.0 - b1, out=s2), 0.0, out=m_)
             np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_, out=v_)
             np.concatenate(next(fill), axis=None, out=p_)
         else:
-            np.multiply(m[lo:hi], b1, out=m_)
+            m_ *= b1
             m_ += np.multiply(g_, 1.0 - b1, out=s2)
-            np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_, out=s2)
-            np.multiply(v[lo:hi], b2, out=v_)
-            v_ += s2
+            v_ *= b2
+            v_ += np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_, out=s2)
         np.multiply(np.divide(m_, c1, out=s1), lr, out=s1)  # lr * m_hat
         np.sqrt(np.divide(v_, c2, out=s2), out=s2)  # sqrt(v_hat)
         s2 += cfg.adam_eps
@@ -374,6 +372,8 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
     best_val, best_epoch, since_best = np.inf, -1, 0
     best = None  # the best epoch's weights, once a later epoch runs
     stopped_early = False
+    # no step follows a one-step call's to read its moments
+    one_step = cfg.epochs == 1 and len(train_windows) <= cfg.batch_size
     for epoch in range(cfg.epochs):
         if epoch > 0 and best_epoch == epoch - 1:  # it moves the best
             if best is None:
@@ -393,12 +393,9 @@ def train(model_cfg: md.ModelConfig, train_windows: WindowSet,
             sq = _sum_squares(state.grads)
             if cfg.grad_clip is not None:
                 _clip_grads(state.grads, cfg.grad_clip, sq)
-            # no step follows a call's last to read its moments
-            last = (epoch == cfg.epochs - 1
-                    and start + cfg.batch_size >= len(order))
             # clipping scales by at most 1, and not at all when sq is not
             # finite, so the elements sq found finite stay finite
-            adam_step(state, lr, cfg, sq, last=last)
+            adam_step(state, lr, cfg, sq, last=one_step)
             if state.step == 1:
                 params = state.views(state.weights)
             epoch_losses.append(loss)

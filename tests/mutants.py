@@ -102,6 +102,12 @@ MUTANTS = {
         "            np.concatenate(next(fill), axis=None, out=p_)",
         "            np.concatenate(next(fill), axis=None, out=p_)\n"
         "            np.multiply(np.multiply(g_, 1.0 - b2, out=s2), g_, out=v_)"),
+    # only a one-step call's step keeps the moments in scratch; a later
+    # step given `last` updates the stored moments
+    "one_step_mode_at_later_step": (
+        "src/wavestack/training.py",
+        "one_step = last and t == 1",
+        "one_step = last"),
     # a node drops its gradient only after reading it
     "grad_released_before_read": (
         "src/wavestack/autodiff.py",
