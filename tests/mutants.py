@@ -132,6 +132,21 @@ MUTANTS = {
         "src/wavestack/training.py",
         'if "n" not in line and "N" not in line and not line.isspace():',
         'if "n" not in line and "N" not in line:'),
+    # a checkpoint refuses a tensor name that its reader cannot read back
+    "checkpoint_name_unchecked": (
+        "src/wavestack/training.py",
+        "    if spaced:\n",
+        "    if False:\n"),
+    # a sidecar is read only beside the text it was saved with
+    "sidecar_text_hash_unchecked": (
+        "src/wavestack/training.py",
+        'if text_line != f"text_sha256 {_file_sha256(path)}\\n".encode():',
+        "if False:"),
+    # and only with the table and payload it was saved with
+    "sidecar_payload_hash_unchecked": (
+        "src/wavestack/training.py",
+        'if body_line != f"body_sha256 {body.hexdigest()}\\n".encode():',
+        "if False:"),
     # the sym4 low-pass filter is the table's to the last ulp
     "sym4_coefficient_one_ulp": (
         "src/wavestack/wavelet.py",

@@ -961,7 +961,7 @@ class TestDeterminism:
                 assert done.returncode == 0, done.stderr
             files.append({str(p.relative_to(base)): p.read_bytes()
                           for p in sorted(base.rglob("*")) if p.is_file()})
-        assert len(files[0]) == 16
+        assert len(files[0]) == 17
         assert files[0].keys() == files[1].keys()
         assert [name for name in files[0]
                 if files[0][name] != files[1][name]] == []

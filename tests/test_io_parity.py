@@ -1,10 +1,15 @@
 """Checkpoint and CSV I/O against test-local copies of the line-at-a-time
 code they replaced (`ref_*` below): the same bytes written, and the same
 bits or the same error read, on valid and damaged files alike.  The v1
-fixture under `data/v1` was written by that code."""
+fixture under `data/v1` was written by that code.  A checkpoint loaded
+from its float64 sidecar gives what its text gives, and a sidecar that
+is stale or damaged is passed over."""
 
+import contextlib
 import csv
+import io
 import math
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -188,6 +193,16 @@ class TestCheckpointWriter:
         ref_save_checkpoint(ref, params, TINY, epoch, val_loss)
         assert new.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("name", ["a b", "a\x85b", "x\ny", "\t",
+                                      "a\u2028", "\x1c"])
+    def test_refuses_a_name_it_cannot_read_back(self, tmp_path, name):
+        # the reader splits the line at spaces and the file at
+        # str.splitlines' breaks, so the name would not load
+        with pytest.raises(ValueError, match="holds whitespace"):
+            tr.save_checkpoint(tmp_path / "ckpt.txt",
+                               {"w": np.ones(2), name: np.ones(1)}, TINY)
+        assert list(tmp_path.iterdir()) == []
+
 
 def _valid_text(tmp_path, params):
     path = tmp_path / "valid.txt"
@@ -298,6 +313,199 @@ class TestCheckpointReader:
         lines = _valid_text(tmp_path, self.BASE).split("\n")
         lines[4:6] = [f"tensor {lines[4].split(' ')[1]} {shape}", values]
         self._check(tmp_path, "\n".join(lines).encode("utf-8"))
+
+
+# --- the float64 sidecar ----------------------------------------------------
+
+def sidecar(path):
+    return Path(f"{path}{tr.SIDECAR_SUFFIX}")
+
+
+def loaded(path, cfg=None):
+    """What `load_checkpoint` gives: the header and each tensor's name,
+    shape, dtype, writeability and bytes, in order; or its error."""
+    try:
+        params, header = tr.load_checkpoint(path, cfg)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return header, [(name, arr.shape, arr.dtype.str, arr.flags.writeable,
+                     arr.tobytes()) for name, arr in params.items()]
+
+
+def loaded_from_text(path, cfg=None):
+    """`loaded` with the sidecar set aside, so the text is parsed."""
+    aside = path.with_name("aside")
+    sidecar(path).rename(aside)
+    try:
+        return loaded(path, cfg)
+    finally:
+        aside.rename(sidecar(path))
+
+
+# Every name the writer accepts: no whitespace, which takes in every line
+# break, and no lone surrogate, which no file encoding writes.
+accepted_names_st = st.text(
+    st.characters(blacklist_categories=("Cs",)).filter(
+        lambda c: not c.isspace()), max_size=6)
+
+FIXTURE_CFG = load_run_config(FIXTURE / "run.cfg").model
+
+
+def _first_value_edited(text):
+    """A checkpoint's text with the last digit of its first value
+    changed: it still parses, to another value."""
+    lines = text.split("\n")
+    first, rest = lines[5].split(" ", 1)
+    lines[5] = f"{first[:-1]}{'2' if first[-1] == '1' else '1'} {rest}"
+    return "\n".join(lines)
+
+
+class TestSidecar:
+    BASE = md.init_params(replace(TINY, seed=4))
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        tr.save_checkpoint(path, self.BASE, TINY, epoch=2, val_loss=0.5)
+        return path
+
+    def _same_as_text(self, path):
+        for cfg in (None, TINY, FIXTURE_CFG):
+            assert loaded(path, cfg) == loaded_from_text(path, cfg)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(params=st.dictionaries(accepted_names_st, tensors(), max_size=6),
+           epoch=st.integers(-1, 10 ** 6), val_loss=values_st)
+    @example(params={"": np.array(2.5), "e": np.zeros((0, 3)),
+                     "w": np.array(EDGES)}, epoch=3, val_loss=-0.0)
+    def test_round_trip_gives_what_the_text_gives(self, tmp_path, params,
+                                                 epoch, val_loss):
+        path = tmp_path / "ckpt.txt"
+        tr.save_checkpoint(path, params, TINY, epoch, val_loss)
+        assert tr._read_sidecar(path) is not None
+        self._same_as_text(path)
+
+    def test_nan_is_stored_as_the_bits_text_reloads_to(self, tmp_path):
+        # -nan, NaNs with a payload (quiet and signalling), then -0.0,
+        # +-inf and the smallest subnormal, which keep their bits
+        words = [0xfff8000000000000, 0x7ff8000000000001,
+                 0x7ff0000000000001, 0x8000000000000000,
+                 0x7ff0000000000000, 0xfff0000000000000, 1]
+        values = np.array(words, dtype="<u8").view("<f8")
+        path = tmp_path / "ckpt.txt"
+        tr.save_checkpoint(path, {"w": values}, TINY)
+        assert tr._read_sidecar(path) is not None
+        got = loaded(path)
+        assert got == loaded_from_text(path)
+        nan = struct.pack("<Q", 0x7ff8000000000000)
+        assert got[1][0][4] == 3 * nan + values[3:].tobytes()
+
+    @pytest.mark.parametrize("edit", ["digit", "tensor dropped",
+                                      "v1 fixture"])
+    def test_stale_sidecar_gives_what_the_text_gives(self, tmp_path, edit):
+        path = self._saved(tmp_path)
+        text = path.read_text()
+        if edit == "digit":
+            text = _first_value_edited(text)
+        elif edit == "tensor dropped":
+            lines = text.split("\n")
+            text = "\n".join(lines[:4] + lines[6:])
+        else:
+            text = (FIXTURE / "checkpoint.txt").read_text()
+        path.write_text(text)
+        assert tr._read_sidecar(path) is None
+        self._same_as_text(path)
+
+    @pytest.mark.parametrize("damage", [
+        "payload byte flipped", "last byte cut", "cut in the table",
+        "cut after the hashes", "empty", "garbage header", "binary header",
+        "sizes do not add up", "shape reshaped", "negative dimension"])
+    def test_damaged_sidecar_gives_what_the_text_gives(self, tmp_path,
+                                                      damage):
+        path = self._saved(tmp_path)
+        data = sidecar(path).read_bytes()
+        table = data.index(b"tensor ")
+        # the first tensor: s1.b1.head_b.W, of shape 6,2
+        line = data[table:data.index(b"\n", table) + 1]
+        assert line.endswith(b" 6,2\n"), line
+        data = {
+            "payload byte flipped": lambda: data[:-3] + bytes(
+                [data[-3] ^ 0x10]) + data[-2:],
+            "last byte cut": lambda: data[:-1],
+            "cut in the table": lambda: data[:table + 9],
+            "cut after the hashes": lambda: data[:154],
+            "empty": lambda: b"",
+            "garbage header": lambda: b"garbage\n" * 20 + data[table:],
+            "binary header": lambda: data[:154] + b"\xff\xfe\n" +
+            data[154:],
+            "sizes do not add up": lambda: data.replace(
+                line, line.replace(b" 6,2\n", b" 6,3\n")),
+            "shape reshaped": lambda: data.replace(
+                line, line.replace(b" 6,2\n", b" 2,6\n")),
+            "negative dimension": lambda: data.replace(
+                line, line.replace(b" 6,2\n", b" -6,-2\n")),
+        }[damage]()
+        sidecar(path).write_bytes(data)
+        assert tr._read_sidecar(path) is None
+        self._same_as_text(path)
+
+    def test_sidecar_without_its_text(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.unlink()
+        assert tr._read_sidecar(path) is None
+        with pytest.raises(FileNotFoundError):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["payload byte flipped",
+                                        "text digit", "text tensor dropped",
+                                        "text config hash"])
+    @pytest.mark.parametrize("command", ["forecast", "eval"])
+    def test_cli_exit_code_message_and_files_as_from_text(
+            self, tmp_path, damage, command):
+        path = tmp_path / "checkpoint.txt"
+        params, header = tr.load_checkpoint(FIXTURE / "checkpoint.txt")
+        tr.save_checkpoint(path, params, FIXTURE_CFG, int(header["epoch"]),
+                           float(header["val_loss"]))
+        if damage == "payload byte flipped":
+            data = sidecar(path).read_bytes()
+            sidecar(path).write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+        else:
+            text = path.read_text()
+            first = text.index("\ntensor ") + 1
+            second = text.index("\ntensor ", first) + 1
+            path.write_text({
+                "text digit": lambda: _first_value_edited(text),
+                "text tensor dropped": lambda: text[:first] + text[second:],
+                "text config hash": lambda: text.replace(
+                    "config_hash ", "config_hash 0", 1),
+            }[damage]())
+
+        def run(out):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = cli.main([command, "--config",
+                                 str(FIXTURE / "run.cfg"), "--checkpoint",
+                                 str(path), "--out", str(out)])
+            return code, stdout.getvalue(), stderr.getvalue(), {
+                p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+
+        with_sidecar = run(tmp_path / "a")
+        sidecar(path).unlink()
+        assert run(tmp_path / "b") == with_sidecar
+
+    def test_unwritable_sidecar_fails_as_unwritable_text(self, tmp_path):
+        (tmp_path / "a.txt.v2").mkdir()
+        (tmp_path / "b.txt").mkdir()
+        errors = []
+        for name in ("a.txt", "b.txt"):
+            with pytest.raises(OSError) as caught:
+                tr.save_checkpoint(tmp_path / name, self.BASE, TINY)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == (errors[1][0], errors[1][1].replace(
+            "b.txt", "a.txt.v2"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["a.txt", "a.txt.v2", "b.txt"]
 
 
 # --- CSV ------------------------------------------------------------------
