@@ -424,6 +424,7 @@ class TestSidecar:
                                                       damage):
         path = self._saved(tmp_path)
         data = sidecar(path).read_bytes()
+        head = data.index(b"format_version ")  # after the two hash lines
         table = data.index(b"tensor ")
         # the first tensor: s1.b1.head_b.W, of shape 6,2
         line = data[table:data.index(b"\n", table) + 1]
@@ -433,11 +434,11 @@ class TestSidecar:
                 [data[-3] ^ 0x10]) + data[-2:],
             "last byte cut": lambda: data[:-1],
             "cut in the table": lambda: data[:table + 9],
-            "cut after the hashes": lambda: data[:154],
+            "cut after the hashes": lambda: data[:head],
             "empty": lambda: b"",
             "garbage header": lambda: b"garbage\n" * 20 + data[table:],
-            "binary header": lambda: data[:154] + b"\xff\xfe\n" +
-            data[154:],
+            "binary header": lambda: data[:head] + b"\xff\xfe\n" +
+            data[head:],
             "sizes do not add up": lambda: data.replace(
                 line, line.replace(b" 6,2\n", b" 6,3\n")),
             "shape reshaped": lambda: data.replace(
