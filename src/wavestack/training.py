@@ -27,7 +27,7 @@ from .errors import (
 CHECKPOINT_FORMAT_VERSION = 1
 
 # What `save_checkpoint` appends to a checkpoint's path to name the binary
-# copy of its values that it writes beside the text (`_write_sidecar`).
+# copy of its values that it writes beside the text, the sidecar.
 SIDECAR_SUFFIX = ".v2"
 
 # Bytes per read when a file is hashed: a hash holds one chunk, however
@@ -35,8 +35,9 @@ SIDECAR_SUFFIX = ".v2"
 # the benchmark config by 0.4 MB; reads of 64 KiB did not measurably.
 HASH_CHUNK = 1 << 16
 
-# Values per piece of a value line that `save_checkpoint` formats at once:
-# a piece's floats and their text are all that is held beside the tensor.
+# Values per piece of a tensor that `save_checkpoint` copies, hashes and
+# writes to both files at once: a piece's floats and their text are all
+# that is held beside the tensor.
 SAVE_PIECE = 1 << 16
 
 # Windows per forward pass in `forecast_bundles`.  A pass holds a few
@@ -264,7 +265,8 @@ def _pieces(values, size: int):
     """Yields, per piece of `size` elements of the arrays `values` laid
     end to end in order (the last piece may be shorter), the arrays and
     the flat slices of them that fill the piece end to end, for
-    `np.concatenate(..., axis=None)`."""
+    `np.concatenate(..., axis=None)`: Adam's first step fills each chunk
+    of the weight vector from `state.init` this way."""
     chunk, room = [], size
     for value in values:
         while value.size >= room:  # it fills the chunk
@@ -442,9 +444,24 @@ def save_checkpoint(path, params: dict, model_cfg: md.ModelConfig,
     """Plain-text named-tensor container; floats are written with repr, so
     a reload gives the same bits, except for NaNs: repr writes each as
     `nan`, which reloads as float("nan"), 0x7ff8000000000000, whatever
-    sign and payload it had.  Each value line is written in pieces of at
-    most SAVE_PIECE values, so only one piece's floats and text are held
-    at once.  Then `_write_sidecar` writes the values beside the text.
+    sign and payload it had.
+
+    Beside it, at `path` + SIDECAR_SUFFIX, goes the sidecar: the same
+    values as raw little-endian float64.  It holds, in UTF-8 lines,
+
+        text_sha256 <SHA-256 of the text's bytes>
+        body_sha256 <SHA-256 of every byte after this line>
+        <the text's header lines and its `tensor NAME SHAPE` lines>
+        payload
+
+    and then the values, in the text's order.  Both files are written in
+    one walk over the tensors, in pieces of at most SAVE_PIECE values of
+    one tensor: each piece is copied once to little-endian float64 with
+    every NaN as the bits that `nan` reloads to, and that copy is hashed,
+    written to the sidecar and, through repr, to the text, so only one
+    piece's floats and text are held at once.  The two hash lines are
+    written last, over placeholders of their length.  Nothing in either
+    file depends on the time or the host.
 
     A tensor name that holds whitespace, which takes in every line break
     of `str.splitlines`, raises ValueError before any file is opened:
@@ -459,19 +476,32 @@ def save_checkpoint(path, params: dict, model_cfg: md.ModelConfig,
             f"val_loss {val_loss!r}\n")
     table = [f"tensor {name} {','.join(map(str, params[name].shape))}\n"
              for name in names]
-    with open(path, "w") as fh:
+    body = hashlib.sha256()
+    with open(path, "w") as fh, open(_sidecar(path), "wb") as side:
+        def put(data):
+            body.update(data)
+            side.write(data)
+
         fh.write(head)
+        side.write(_hash_lines("0" * 64, "0" * 64))
+        put("".join([head, *table, "payload\n"]).encode())
         for name, line in zip(names, table):
             fh.write(line)
-            flat = np.asarray(params[name], dtype=np.float64).reshape(-1)
+            flat = np.asarray(params[name]).reshape(-1)
             for start in range(0, flat.size, SAVE_PIECE):
+                piece = flat[start:start + SAVE_PIECE].astype("<f8")
+                piece[np.isnan(piece)] = float("nan")
+                put(piece)
+                # rebinding drops the array before the text is built, and
+                # the floats go once the join has read them
+                piece = map(repr, piece.tolist())
                 if start:
                     fh.write(" ")
-                piece = flat[start:start + SAVE_PIECE].tolist()
-                fh.write(" ".join(map(repr, piece)))
+                fh.write(" ".join(piece))
             fh.write("\n")
-    _write_sidecar(path, "".join([head, *table]),
-                   (params[name] for name in names))
+        fh.flush()
+        side.seek(0)
+        side.write(_hash_lines(_file_sha256(path), body.hexdigest()))
 
 
 def _sidecar(path) -> str:
@@ -485,40 +515,6 @@ def _file_sha256(path) -> str:
         while chunk := fh.read(HASH_CHUNK):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_sidecar(path, lines: str, tensors) -> None:
-    """Writes the sidecar of the checkpoint text just written at `path`:
-    at `path` + SIDECAR_SUFFIX, the text's values as raw little-endian
-    float64.  It holds, in UTF-8 lines,
-
-        text_sha256 <SHA-256 of the text's bytes>
-        body_sha256 <SHA-256 of every byte after this line>
-        <the text's header lines and its `tensor NAME SHAPE` lines,
-         `lines`>
-        payload
-
-    and then the values of `tensors`, in the text's order, every NaN as the
-    bits that the text's `nan` reloads to.  The two hash lines are
-    written last, over placeholders of their length, so the body is
-    hashed as it is written, one piece of SAVE_PIECE values at a time,
-    which small tensors share.  Nothing in it depends on the time or the
-    host."""
-    body = hashlib.sha256()
-    with open(_sidecar(path), "wb") as fh:
-        def put(data):
-            body.update(data)
-            fh.write(data)
-
-        fh.write(_hash_lines("0" * 64, "0" * 64))
-        put(f"{lines}payload\n".encode())
-        values = (np.asarray(arr, dtype=np.float64) for arr in tensors)
-        for chunk in _pieces(values, SAVE_PIECE):
-            piece = np.concatenate(chunk, axis=None, dtype="<f8")
-            piece[np.isnan(piece)] = float("nan")
-            put(piece)
-        fh.seek(0)
-        fh.write(_hash_lines(_file_sha256(path), body.hexdigest()))
 
 
 def _hash_lines(text_sha256: str, body_sha256: str) -> bytes:
@@ -572,7 +568,7 @@ def load_checkpoint(path, model_cfg: Optional[md.ModelConfig] = None):
 
 def _read_sidecar(path):
     """(params, header) from the sidecar of the checkpoint text at `path`
-    (see `_write_sidecar`), or None when it is missing or unreadable, when
+    (see `save_checkpoint`), or None when it is missing or unreadable, when
     the text's bytes are not the ones it was saved with, when its lines do
     not parse or its table's sizes do not add up to its payload, or when
     its body's bytes are not the ones it was saved with.  Each tensor is

@@ -723,11 +723,16 @@ class TestMemory:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0], peaks
 
-    def test_cli_eval_peak_does_not_grow_with_the_set(self, tmp_path):
+    @pytest.mark.parametrize("source", ["sidecar", "text"])
+    def test_cli_eval_peak_does_not_grow_with_the_set(self, source,
+                                                      tmp_path):
         """CLI `eval --baseline` copies the targets but no inputs, so 20,001
         test windows peak below 1.5 times what 257 do; a copy of the
-        whole [N, T] input set would add 115 MB to the 70 MB that loading
-        the checkpoint takes."""
+        whole [N, T] input set would add 115 MB.  Loading the checkpoint
+        from its sidecar, the two peaks read 21.9 and 32.9 MB, 1.499
+        times: the bound has about 20 KB of headroom.  With the sidecar
+        set aside, the text's parse raises the first to 30.3 MB and the
+        ratio reads 1.085."""
         text = ("model.n_stacks = 2\nmodel.blocks_per_stack = 1\n"
                 "model.lookback = 720\nmodel.horizon = 8\n"
                 "model.hidden_depth = 1\nmodel.hidden_width = 8\n"
@@ -740,6 +745,9 @@ class TestMemory:
             if not checkpoint.exists():
                 tr.save_checkpoint(checkpoint, md.init_params(run.model),
                                    run.model)
+                if source == "text":
+                    os.replace(f"{checkpoint}{tr.SIDECAR_SUFFIX}",
+                               tmp_path / "sidecar.aside")
             assert len(cli._prepare(run)[2]["test"]) == n
             tracemalloc.start()
             try:
@@ -751,20 +759,23 @@ class TestMemory:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
 
-    @pytest.mark.parametrize("step", ["save", "load"])
+    @pytest.mark.parametrize("step", ["save", "load", "sidecar"])
     def test_checkpoint_io_peak_below_three_file_sizes(self, step,
                                                        tmp_path):
         """Saving or loading one 2**18-value tensor (a 5.3 MB file) peaks
         below three times the file's size.  A save holds one piece of at
-        most SAVE_PIECE floats and their text; a load holds the value line
-        as read and as split into lines, and the array it returns.  The
-        floats and text of every value at once take about six file
-        sizes."""
+        most SAVE_PIECE floats and their text.  A load with the sidecar
+        set aside parses the text: it holds the value line as read and as
+        split into lines, and the array it returns.  A load from the
+        sidecar holds little more than the array it returns.  The floats
+        and text of every value at once take about six file sizes."""
         cfg = tiny_cfg()
         values = np.random.default_rng(0).standard_normal(2 ** 18)
         path = tmp_path / "ckpt.txt"
-        if step == "load":
+        if step != "save":
             tr.save_checkpoint(path, {"w": values}, cfg)
+        if step == "load":
+            os.replace(f"{path}{tr.SIDECAR_SUFFIX}", tmp_path / "aside")
         tracemalloc.start()
         try:
             if step == "save":
@@ -774,11 +785,14 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if step == "load":
+        if step != "save":
             np.testing.assert_array_equal(loaded["w"], values)
         size = path.stat().st_size
         assert 5.0e6 < size < 5.6e6, size
         assert peak < 3 * size, peak / size
+        if step == "sidecar":
+            assert peak < 1.25 * loaded["w"].nbytes, \
+                peak / loaded["w"].nbytes
 
     def test_chained_one_step_calls_peak_rss_below_four_vectors(self):
         """Four one-step `train` calls on a 2.1M-parameter model, chained
